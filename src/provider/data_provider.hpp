@@ -12,6 +12,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <map>
@@ -182,7 +183,9 @@ class DataProvider {
         st.key = key;
         st.expected = total;
         st.buf = std::make_shared<Buffer>();
-        st.buf->reserve(total);
+        // \p total comes off the wire: reserve only what a sane chunk
+        // needs; a larger transfer grows as its slices arrive.
+        st.buf->reserve(std::min<std::uint64_t>(total, kMaxPushReserve));
         return xfer;
     }
 
@@ -414,6 +417,7 @@ class DataProvider {
 
   private:
     static constexpr std::size_t kMaxPushSessions = 256;
+    static constexpr std::uint64_t kMaxPushReserve = 64ULL << 20;
 
     struct PushState {
         chunk::ChunkKey key;

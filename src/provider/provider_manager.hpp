@@ -163,12 +163,20 @@ class ProviderManager {
         return entries_.size();
     }
 
+    /// Largest plan one place() call builds (64 GiB of 64 KiB chunks). A
+    /// request can name any count, and the plan is allocated up front.
+    static constexpr std::uint64_t kMaxPlanChunks = 1u << 20;
+
     /// Plan placement of \p n_chunks chunks of \p chunk_bytes each with
     /// the given replication factor. Throws RpcError when no live,
-    /// healthy provider exists.
+    /// healthy provider exists, InvalidArgument past kMaxPlanChunks.
     [[nodiscard]] PlacementPlan place(std::uint64_t n_chunks,
                                       std::uint32_t replication,
                                       std::uint64_t chunk_bytes) {
+        if (n_chunks > kMaxPlanChunks) {
+            throw InvalidArgument("placement of " + std::to_string(n_chunks) +
+                                  " chunks exceeds the per-call limit");
+        }
         const std::scoped_lock lock(mu_);
         std::vector<std::size_t> eligible;
         eligible.reserve(entries_.size());
@@ -263,11 +271,16 @@ class ProviderManager {
 
     /// An external provider daemon registers by stable name. Rejoining
     /// under the same name reclaims the same node id, which is what
-    /// makes a restart look like a recovery instead of a new node.
+    /// makes a restart look like a recovery instead of a new node. An
+    /// empty name is rejected: it could never be rejoined, so each call
+    /// would mint another anonymous node.
     [[nodiscard]] JoinResult join(const std::string& name) {
+        if (name.empty()) {
+            throw InvalidArgument("provider join without a name");
+        }
         const std::scoped_lock lock(mu_);
         for (auto& e : entries_) {
-            if (!e.name.empty() && e.name == name) {
+            if (e.name == name) {
                 return {e.node, true};
             }
         }

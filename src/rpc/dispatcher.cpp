@@ -13,13 +13,6 @@ namespace blobseer::rpc {
 
 namespace {
 
-[[nodiscard]] std::optional<std::uint64_t> get_opt_u64(WireReader& r) {
-    if (r.u8() == 0) {
-        return std::nullopt;
-    }
-    return r.u64();
-}
-
 [[nodiscard]] std::uint64_t us_between(TimePoint from, TimePoint to) {
     if (to <= from) {
         return 0;
@@ -29,14 +22,336 @@ namespace {
             .count());
 }
 
+/// A tag-indexed array over the op table: out[tag] = pick<Op>() for every
+/// op, null elsewhere.
+template <class T, class Pick, class... Ops>
+[[nodiscard]] constexpr std::array<T, kTagLimit> per_op(OpList<Ops...>,
+                                                        Pick pick) {
+    std::array<T, kTagLimit> out{};
+    ((out[static_cast<std::size_t>(Ops::type)] =
+          pick.template operator()<Ops>()),
+     ...);
+    return out;
+}
+
+constexpr auto kNames =
+    per_op<const char*>(OpTable{}, []<class O>() { return O::name; });
+
+/// What a chunk-read handler returns in place of a ChunkSlice: the slice
+/// borrowed from store memory, shipped as the response's scatter-gather
+/// tail (zero copy); the wire bytes are exactly those of a ChunkSlice.
+struct ServedSlice {
+    std::uint64_t chunk_size = 0;
+    SharedSlice bytes;
+};
+
+// ---- handlers: the server half of each op, one function per table entry --
+
+using chunk::ChunkKey;
+using dht::MetadataProvider;
+using meta::MetaKey;
+using meta::MetaNode;
+using provider::ChunkHolding;
+using provider::DataProvider;
+using provider::ProviderManager;
+using version::BlobInfo;
+using version::VersionInfo;
+using version::VersionManager;
+using u32 = std::uint32_t;
+using u64 = std::uint64_t;
+
+void serve(op::ChunkPut, DataProvider& dp, const ChunkKey& key,
+           ConstBytes payload) {
+    // The one copy of the payload: out of the frame into the store.
+    dp.put_chunk(key, std::make_shared<const Buffer>(payload.begin(),
+                                                     payload.end()));
+}
+
+/// Clamp [offset, offset + size) to the \p total bytes of \p ref (size 0 =
+/// the rest of the chunk) and borrow that slice.
+ServedSlice slice_of(u64 total, chunk::ChunkRef ref, u64 offset, u64 size) {
+    const u64 begin = std::min(offset, total);
+    const u64 n = size == 0 ? total - begin : std::min(size, total - begin);
+    return {total, SharedSlice(ref.bytes.subspan(begin, n),
+                               std::move(ref.keepalive))};
+}
+
+ServedSlice serve(op::ChunkGet, DataProvider& dp, const ChunkKey& key,
+                  u64 offset, u64 size) {
+    chunk::ChunkRef ref = dp.get_chunk_ref(key);
+    const u64 total = ref.bytes.size();
+    return slice_of(total, std::move(ref), offset, size);
+}
+
+void serve(op::ChunkErase, DataProvider& dp, const ChunkKey& key) {
+    dp.erase_chunk(key);
+}
+
+bool serve(op::ChunkCheck, DataProvider& dp, const ChunkKey& key,
+           bool want_incref, u64 size_hint) {
+    return dp.check_chunk(key, want_incref, size_hint);
+}
+
+u64 serve(op::ChunkPushStart, DataProvider& dp, const ChunkKey& k, u64 total) {
+    return dp.begin_push(k, total);
+}
+
+void serve(op::ChunkPushSome, DataProvider& dp, u64 xfer, u64 offset,
+           ConstBytes bytes) {
+    dp.push_some(xfer, offset, bytes);
+}
+
+void serve(op::ChunkPushEnd, DataProvider& dp, u64 xfer) {
+    dp.end_push(xfer);
+}
+
+u64 serve(op::ChunkPullStart, DataProvider& dp, const ChunkKey& key) {
+    return dp.chunk_size(key);
+}
+
+ServedSlice serve(op::ChunkPullSome, DataProvider& dp, const ChunkKey& key,
+                  u64 offset, u64 size) {
+    auto [total, ref] = dp.get_chunk_range_ref(key, offset, size);
+    return slice_of(total, std::move(ref), offset, size);
+}
+
+u64 serve(op::ChunkDecref, DataProvider& dp, const ChunkKey& key) {
+    return dp.decref_chunk(key);
+}
+
+DataProvider::DedupStatus serve(op::DedupStatus, DataProvider& dp) {
+    return dp.dedup_status();
+}
+
+BlobInfo serve(op::BlobCreate, VersionManager& vm, u64 chunk_size, u32 rep) {
+    return vm.create_blob(chunk_size, rep);
+}
+
+BlobInfo serve(op::BlobClone, VersionManager& vm, BlobId src, Version v) {
+    return vm.clone_blob(src, v);
+}
+
+BlobInfo serve(op::BlobInfo, VersionManager& vm, BlobId blob) {
+    return vm.blob_info(blob);
+}
+
+version::AssignResult serve(op::Assign, VersionManager& vm, BlobId blob,
+                            std::optional<u64> offset, u64 size) {
+    return vm.assign(blob, offset, size);
+}
+
+void serve(op::Commit, VersionManager& vm, BlobId blob, Version v) {
+    vm.commit(blob, v);
+}
+
+VersionInfo serve(op::GetVersion, VersionManager& vm, BlobId blob, Version v) {
+    return vm.get_version(blob, v);
+}
+
+VersionInfo serve(op::WaitPublished, VersionManager& vm, BlobId blob,
+                  Version v, u64 timeout_ms) {
+    return vm.wait_published(blob, v, milliseconds(timeout_ms));
+}
+
+std::vector<VersionManager::VersionSummary> serve(
+    op::History, VersionManager& vm, BlobId blob, Version from, Version to) {
+    return vm.history(blob, from, to);
+}
+
+bool serve(op::Pin, VersionManager& vm, BlobId blob, Version v) {
+    return vm.pin(blob, v);
+}
+
+void serve(op::Unpin, VersionManager& vm, BlobId blob, Version v) {
+    vm.unpin(blob, v);
+}
+
+VersionManager::RetireInfo serve(op::Retire, VersionManager& vm, BlobId blob,
+                                 Version keep_from) {
+    return vm.retire(blob, keep_from);
+}
+
+meta::WriteDescriptor serve(op::DescriptorOf, VersionManager& vm,
+                            BlobId blob, Version v) {
+    return vm.descriptor_of(blob, v);
+}
+
+BlobInfo serve(op::BlobCloneFrom, VersionManager& vm, u64 chunk_size,
+               u32 rep, const meta::TreeRef& origin) {
+    return vm.clone_from(chunk_size, rep, origin);
+}
+
+version::ShardStatus serve(op::VmStatus, VersionManager& vm) {
+    return vm.status();
+}
+
+void serve(op::MetaPut, MetadataProvider& mp, const MetaKey& key,
+           const MetaNode& node) {
+    mp.put(key, node);
+}
+
+MetaNode serve(op::MetaGet, MetadataProvider& mp, const MetaKey& key) {
+    return mp.get(key);
+}
+
+std::optional<MetaNode> serve(op::MetaTryGet, MetadataProvider& mp,
+                              const MetaKey& key) {
+    return mp.try_get(key);
+}
+
+void serve(op::MetaErase, MetadataProvider& mp, const MetaKey& key) {
+    mp.erase(key);
+}
+
+provider::PlacementPlan serve(op::Place, ProviderManager& pm, u64 n_chunks,
+                              u32 rep, u64 chunk_bytes) {
+    return pm.place(n_chunks, rep, chunk_bytes);
+}
+
+void serve(op::MarkDead, ProviderManager& pm, NodeId node) {
+    pm.mark_dead(node);
+}
+
+ProviderManager::JoinResult serve(op::ProviderJoin, ProviderManager& pm,
+                                  const std::string& name) {
+    return pm.join(name);
+}
+
+void serve(op::ProviderAnnounce, ProviderManager& pm, NodeId node,
+           const std::string& host, u32 port,
+           const std::vector<ChunkHolding>& inventory) {
+    pm.announce(node, host, port, inventory);
+}
+
+bool serve(op::ProviderBeat, ProviderManager& pm, NodeId node, u64 seq,
+           const std::vector<ChunkHolding>& added,
+           const std::vector<ChunkKey>& removed) {
+    return pm.heartbeat(node, seq, added, removed);
+}
+
+bool serve(op::ReportFailure, ProviderManager& pm, NodeId suspect,
+           NodeId reporter) {
+    return pm.report_failure(suspect, reporter);
+}
+
+provider::RepairStatus serve(op::RepairStatus, ProviderManager& pm) {
+    return pm.repair_status();
+}
+
+Topology serve(op::Topology, Dispatcher& d) {
+    return d.topology_for_new_client();
+}
+
+MetricsSnapshot serve(op::MetricsDump, Dispatcher& /*d*/) {
+    return MetricsRegistry::instance().snapshot();
+}
+
+std::vector<trace::SpanRecord> serve(op::TraceDump, Dispatcher& /*d*/,
+                                     u64 trace_id, u64 max) {
+    return trace::buffer().snapshot(
+        trace_id, max == 0 ? trace::TraceBuffer::kDefaultCapacity : max);
+}
+
+template <class S>
+[[nodiscard]] S& find_service(const std::unordered_map<NodeId, S*>& services,
+                              NodeId node, const char* what) {
+    const auto it = services.find(node);
+    if (it == services.end()) {
+        throw RpcError(std::string("no ") + what + " service on node " +
+                       std::to_string(node));
+    }
+    return *it->second;
+}
+
 }  // namespace
 
-Dispatcher::OpTelemetry* Dispatcher::telemetry_for(MsgType type) noexcept {
-    const auto tag = static_cast<std::uint16_t>(type);
-    if (tag >= op_telemetry_.size()) {
-        return nullptr;  // corrupt tag; no series for it
+/// The generated routes: tag -> (decode request, find service, serve,
+/// encode response).
+struct OpRouter {
+    using Route = RpcResponse (*)(Dispatcher&, const FrameView&);
+
+    template <class S>
+    [[nodiscard]] static S& service(Dispatcher& d, NodeId node) {
+        if constexpr (std::is_same_v<S, Dispatcher>) {
+            return d;
+        } else if constexpr (std::is_same_v<S, provider::ProviderManager>) {
+            return find_service(d.provider_managers_, node,
+                                "provider-manager");
+        } else if constexpr (std::is_same_v<S, version::VersionManager>) {
+            return find_service(d.version_managers_, node, "version-manager");
+        } else if constexpr (std::is_same_v<S, provider::DataProvider>) {
+            return find_service(d.data_providers_, node, "data-provider");
+        } else {
+            return find_service(d.meta_providers_, node, "metadata-provider");
+        }
     }
-    OpTelemetry& t = op_telemetry_[tag];
+
+    template <class O>
+    [[nodiscard]] static RpcResponse route(Dispatcher& d,
+                                           const FrameView& f) {
+        using S = typename O::Service;
+        using R = typename O::Response;
+        // Fault gate: a request addressed to a node the deployment
+        // considers down fails exactly like a dead simulated endpoint, so
+        // TCP clients observe the same fault semantics as in-process
+        // ones. Control ops (served by the dispatcher itself) stay
+        // reachable on a "dead" deployment — exactly when operators
+        // need them.
+        if constexpr (!std::is_same_v<S, Dispatcher>) {
+            if (d.fault_check_ && !d.fault_check_(f.dst())) {
+                throw RpcError("target node " + std::to_string(f.dst()) +
+                               " is down");
+            }
+        }
+        S& service = OpRouter::service<S>(d, f.dst());
+        typename O::Request req;
+        WireReader r(f.payload);
+        decode(r, req);
+        r.expect_end();
+        const auto call = [&service](auto&... fields) {
+            return serve(O{}, service, fields...);
+        };
+        if constexpr (std::is_void_v<R>) {
+            std::apply(call, req);
+            return seal_response(O::type, WireWriter());
+        } else if constexpr (std::is_same_v<R, ChunkSlice>) {
+            // Zero copy: the head carries exactly the bytes encode() would
+            // put before the slice (u64 size + the byte string's varint
+            // length); the slice itself ships as the borrowed tail.
+            ServedSlice s = std::apply(call, req);
+            const std::size_t n = s.bytes.size();
+            WireWriter w(16);
+            w.u64(s.chunk_size);
+            w.varint(n);
+            return RpcResponse(
+                seal_response_with_tail(O::type, std::move(w), n),
+                std::move(s.bytes));
+        } else {
+            const R out = std::apply(call, req);
+            WireWriter w;
+            encode(w, out);
+            return seal_response(O::type, std::move(w));
+        }
+    }
+
+    static constexpr auto kRoutes = per_op<Route>(
+        OpTable{}, []<class O>() -> Route { return &route<O>; });
+};
+
+bool known_op(MsgType t) noexcept {
+    const auto tag = static_cast<std::size_t>(t);
+    return tag < kNames.size() && kNames[tag] != nullptr;
+}
+
+const char* to_string(MsgType t) noexcept {
+    return known_op(t) ? kNames[static_cast<std::size_t>(t)] : "?";
+}
+
+Dispatcher::OpTelemetry* Dispatcher::telemetry_for(MsgType type) noexcept {
+    if (!known_op(type)) {
+        return nullptr;  // corrupt or foreign tag; no series for it
+    }
+    OpTelemetry& t = op_telemetry_[static_cast<std::size_t>(type)];
     if (t.latency.load(std::memory_order_acquire) == nullptr) {
         // First dispatch of this op in this dispatcher. The registry
         // get-or-creates by name+label, so every dispatcher in the
@@ -80,7 +395,7 @@ RpcResponse Dispatcher::dispatch_sg(ConstBytes frame,
     trace::TraceContext ctx;
     NodeId dst = kInvalidNode;
     std::uint64_t payload_bytes = 0;
-    bool known_type = false;
+    bool parsed = false;
     const TimePoint started = Clock::now();
     RpcResponse response;
     try {
@@ -92,15 +407,23 @@ RpcResponse Dispatcher::dispatch_sg(ConstBytes frame,
         ctx.flags = f.trace_flags;
         dst = f.dst();
         payload_bytes = f.payload.size();
-        known_type = true;
+        parsed = true;
         if (f.response) {
             throw RpcError("dispatch of a response frame");
+        }
+        const OpRouter::Route route =
+            known_op(f.type)
+                ? OpRouter::kRoutes[static_cast<std::size_t>(f.type)]
+                : nullptr;
+        if (route == nullptr) {
+            throw RpcError("unknown message type " +
+                           std::to_string(static_cast<unsigned>(f.type)));
         }
         // Handlers run inside the frame's trace context, so every nested
         // RPC a service issues (DHT replica puts, CAS check→push chains,
         // repair copies) inherits the trace.
         const trace::TraceScope scope(ctx);
-        response = handle(f);
+        response = route(*this, f);
     } catch (const RpcError& e) {
         status = Status::kRpcError;
         response = seal_error(type, status, e.what());
@@ -129,7 +452,7 @@ RpcResponse Dispatcher::dispatch_sg(ConstBytes frame,
     set_frame_corr(response.head, corr);
 
     const std::uint64_t handle_us = us_between(started, Clock::now());
-    if (known_type) {
+    if (parsed) {
         if (OpTelemetry* t = telemetry_for(type)) {
             t->requests.load(std::memory_order_relaxed)->add();
             t->latency.load(std::memory_order_relaxed)->record(handle_us);
@@ -159,479 +482,6 @@ RpcResponse Dispatcher::dispatch_sg(ConstBytes frame,
         }
     }
     return response;
-}
-
-RpcResponse Dispatcher::handle(const FrameView& f) {
-    // Fault gate: a request addressed to a node the deployment considers
-    // down fails exactly like a dead simulated endpoint, so TCP clients
-    // observe the same fault semantics as in-process ones.
-    // Control-plane introspection (topology, metrics, traces) stays
-    // reachable on a "dead" deployment — exactly when operators need it.
-    const bool control = f.type == MsgType::kTopology ||
-                         f.type == MsgType::kMetricsDump ||
-                         f.type == MsgType::kTraceDump;
-    if (fault_check_ && !control && !fault_check_(f.dst())) {
-        throw RpcError("target node " + std::to_string(f.dst()) +
-                       " is down");
-    }
-    switch (f.type) {
-        case MsgType::kChunkPut:
-        case MsgType::kChunkGet:
-        case MsgType::kChunkErase:
-        case MsgType::kChunkCheck:
-        case MsgType::kChunkPushStart:
-        case MsgType::kChunkPushSome:
-        case MsgType::kChunkPushEnd:
-        case MsgType::kChunkPullStart:
-        case MsgType::kChunkPullSome:
-        case MsgType::kChunkDecref:
-        case MsgType::kDedupStatus:
-            return handle_data_provider(f);
-
-        case MsgType::kBlobCreate:
-        case MsgType::kBlobClone:
-        case MsgType::kBlobInfo:
-        case MsgType::kAssign:
-        case MsgType::kCommit:
-        case MsgType::kGetVersion:
-        case MsgType::kWaitPublished:
-        case MsgType::kHistory:
-        case MsgType::kPin:
-        case MsgType::kUnpin:
-        case MsgType::kRetire:
-        case MsgType::kDescriptorOf:
-        case MsgType::kBlobCloneFrom:
-        case MsgType::kVmStatus:
-            return handle_version_manager(f);
-
-        case MsgType::kMetaPut:
-        case MsgType::kMetaGet:
-        case MsgType::kMetaTryGet:
-        case MsgType::kMetaErase:
-            return handle_meta_provider(f);
-
-        case MsgType::kPlace:
-        case MsgType::kMarkDead:
-        case MsgType::kProviderJoin:
-        case MsgType::kProviderAnnounce:
-        case MsgType::kProviderBeat:
-        case MsgType::kReportFailure:
-        case MsgType::kRepairStatus:
-            return handle_provider_manager(f);
-
-        case MsgType::kTopology: {
-            Topology t = topology();
-            t.client_id = next_client_id_.fetch_add(1);
-            WireWriter w;
-            put_topology(w, t);
-            return seal_response(f.type, std::move(w));
-        }
-
-        case MsgType::kMetricsDump: {
-            WireReader r(f.payload);
-            r.expect_end();
-            WireWriter w;
-            put_metrics_snapshot(w, MetricsRegistry::instance().snapshot());
-            return seal_response(f.type, std::move(w));
-        }
-
-        case MsgType::kTraceDump: {
-            WireReader r(f.payload);
-            const std::uint64_t trace_id = r.u64();
-            const std::uint64_t max = r.u64();
-            r.expect_end();
-            WireWriter w;
-            put_span_records(
-                w, trace::buffer().snapshot(
-                       trace_id, max == 0 ? trace::TraceBuffer::kDefaultCapacity
-                                          : max));
-            return seal_response(f.type, std::move(w));
-        }
-    }
-    throw RpcError("unknown message type " +
-                   std::to_string(static_cast<unsigned>(f.type)));
-}
-
-RpcResponse Dispatcher::handle_data_provider(const FrameView& f) {
-    const auto it = data_providers_.find(f.dst());
-    if (it == data_providers_.end()) {
-        throw RpcError("no data-provider service on node " +
-                       std::to_string(f.dst()));
-    }
-    provider::DataProvider& dp = *it->second;
-    WireReader r(f.payload);
-
-    switch (f.type) {
-        case MsgType::kChunkPut: {
-            const chunk::ChunkKey key = get_chunk_key(r);
-            const ConstBytes payload = r.blob();
-            r.expect_end();
-            dp.put_chunk(key, std::make_shared<const Buffer>(
-                                  payload.begin(), payload.end()));
-            return seal_response(f.type, WireWriter());
-        }
-        case MsgType::kChunkGet: {
-            const chunk::ChunkKey key = get_chunk_key(r);
-            const std::uint64_t offset = r.u64();
-            const std::uint64_t size = r.u64();  // 0 = whole chunk
-            r.expect_end();
-            // Zero-copy: borrow the payload from the store and ship it
-            // as the response tail. The sealed head carries exactly the
-            // bytes w.blob() would have put before the payload (u64
-            // total + varint length), so the wire format is unchanged.
-            chunk::ChunkRef ref = dp.get_chunk_ref(key);
-            const std::uint64_t total = ref.bytes.size();
-            const std::uint64_t begin = std::min(offset, total);
-            const std::uint64_t n = size == 0
-                                        ? total - begin
-                                        : std::min(size, total - begin);
-            WireWriter w(64);
-            w.u64(total);
-            w.varint(n);  // the blob() length prefix, payload shipped as tail
-            return RpcResponse(
-                seal_response_with_tail(f.type, std::move(w), n),
-                SharedSlice(ref.bytes.subspan(begin, n),
-                            std::move(ref.keepalive)));
-        }
-        case MsgType::kChunkErase: {
-            const chunk::ChunkKey key = get_chunk_key(r);
-            r.expect_end();
-            dp.erase_chunk(key);
-            return seal_response(f.type, WireWriter());
-        }
-        case MsgType::kChunkCheck: {
-            const chunk::ChunkKey key = get_chunk_key(r);
-            const bool want_incref = r.u8() != 0;
-            const std::uint64_t size_hint = r.u64();
-            r.expect_end();
-            WireWriter w;
-            w.u8(dp.check_chunk(key, want_incref, size_hint) ? 1 : 0);
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kChunkPushStart: {
-            const chunk::ChunkKey key = get_chunk_key(r);
-            const std::uint64_t total = r.u64();
-            r.expect_end();
-            WireWriter w;
-            w.u64(dp.begin_push(key, total));
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kChunkPushSome: {
-            const std::uint64_t xfer = r.u64();
-            const std::uint64_t offset = r.u64();
-            const ConstBytes bytes = r.blob();
-            r.expect_end();
-            dp.push_some(xfer, offset, bytes);
-            return seal_response(f.type, WireWriter());
-        }
-        case MsgType::kChunkPushEnd: {
-            const std::uint64_t xfer = r.u64();
-            r.expect_end();
-            dp.end_push(xfer);
-            return seal_response(f.type, WireWriter());
-        }
-        case MsgType::kChunkPullStart: {
-            const chunk::ChunkKey key = get_chunk_key(r);
-            r.expect_end();
-            WireWriter w;
-            w.u64(dp.chunk_size(key));
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kChunkPullSome: {
-            const chunk::ChunkKey key = get_chunk_key(r);
-            const std::uint64_t offset = r.u64();
-            const std::uint64_t size = r.u64();  // 0 = rest of the chunk
-            r.expect_end();
-            auto [total, ref] = dp.get_chunk_range_ref(key, offset, size);
-            const std::uint64_t begin = std::min(offset, total);
-            const std::uint64_t n =
-                size == 0 ? total - begin : std::min(size, total - begin);
-            WireWriter w(64);
-            w.u64(total);
-            w.varint(n);
-            return RpcResponse(
-                seal_response_with_tail(f.type, std::move(w), n),
-                SharedSlice(ref.bytes.subspan(begin, n),
-                            std::move(ref.keepalive)));
-        }
-        case MsgType::kChunkDecref: {
-            const chunk::ChunkKey key = get_chunk_key(r);
-            r.expect_end();
-            WireWriter w;
-            w.u64(dp.decref_chunk(key));
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kDedupStatus: {
-            r.expect_end();
-            const auto s = dp.dedup_status();
-            WireWriter w;
-            w.u64(s.chunks_stored);
-            w.u64(s.stored_bytes);
-            w.u64(s.check_hits);
-            w.u64(s.check_misses);
-            w.u64(s.bytes_skipped);
-            w.u64(s.dup_puts);
-            w.u64(s.decrefs);
-            w.u64(s.reclaimed_chunks);
-            w.u64(s.reclaimed_bytes);
-            return seal_response(f.type, std::move(w));
-        }
-        default:
-            throw RpcError("bad data-provider message");
-    }
-}
-
-Buffer Dispatcher::handle_version_manager(const FrameView& f) {
-    const auto it = version_managers_.find(f.dst());
-    if (it == version_managers_.end()) {
-        throw RpcError("no version-manager service on node " +
-                       std::to_string(f.dst()));
-    }
-    version::VersionManager& vm = *it->second;
-    WireReader r(f.payload);
-
-    switch (f.type) {
-        case MsgType::kBlobCreate: {
-            const std::uint64_t chunk_size = r.u64();
-            const std::uint32_t replication = r.u32();
-            r.expect_end();
-            WireWriter w;
-            put_blob_info(w, vm.create_blob(chunk_size, replication));
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kBlobClone: {
-            const BlobId src = r.u64();
-            const Version v = r.u64();
-            r.expect_end();
-            WireWriter w;
-            put_blob_info(w, vm.clone_blob(src, v));
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kBlobInfo: {
-            const BlobId blob = r.u64();
-            r.expect_end();
-            WireWriter w;
-            put_blob_info(w, vm.blob_info(blob));
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kAssign: {
-            const BlobId blob = r.u64();
-            const auto offset = get_opt_u64(r);
-            const std::uint64_t size = r.u64();
-            r.expect_end();
-            WireWriter w;
-            put_assign_result(w, vm.assign(blob, offset, size));
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kCommit: {
-            const BlobId blob = r.u64();
-            const Version v = r.u64();
-            r.expect_end();
-            vm.commit(blob, v);
-            return seal_response(f.type, WireWriter());
-        }
-        case MsgType::kGetVersion: {
-            const BlobId blob = r.u64();
-            const Version v = r.u64();
-            r.expect_end();
-            WireWriter w;
-            put_version_info(w, vm.get_version(blob, v));
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kWaitPublished: {
-            const BlobId blob = r.u64();
-            const Version v = r.u64();
-            const std::uint64_t timeout_ms = r.u64();
-            r.expect_end();
-            WireWriter w;
-            put_version_info(
-                w, vm.wait_published(blob, v, milliseconds(timeout_ms)));
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kHistory: {
-            const BlobId blob = r.u64();
-            const Version from = r.u64();
-            const Version to = r.u64();
-            r.expect_end();
-            const auto summaries = vm.history(blob, from, to);
-            WireWriter w;
-            w.varint(summaries.size());
-            for (const auto& s : summaries) {
-                put_version_summary(w, s);
-            }
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kPin: {
-            const BlobId blob = r.u64();
-            const Version v = r.u64();
-            r.expect_end();
-            WireWriter w;
-            w.u8(vm.pin(blob, v) ? 1 : 0);
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kUnpin: {
-            const BlobId blob = r.u64();
-            const Version v = r.u64();
-            r.expect_end();
-            vm.unpin(blob, v);
-            return seal_response(f.type, WireWriter());
-        }
-        case MsgType::kRetire: {
-            const BlobId blob = r.u64();
-            const Version keep_from = r.u64();
-            r.expect_end();
-            WireWriter w;
-            put_retire_info(w, vm.retire(blob, keep_from));
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kDescriptorOf: {
-            const BlobId blob = r.u64();
-            const Version v = r.u64();
-            r.expect_end();
-            WireWriter w;
-            put_write_descriptor(w, vm.descriptor_of(blob, v));
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kBlobCloneFrom: {
-            const std::uint64_t chunk_size = r.u64();
-            const std::uint32_t replication = r.u32();
-            const meta::TreeRef origin = get_tree_ref(r);
-            r.expect_end();
-            WireWriter w;
-            put_blob_info(w,
-                          vm.clone_from(chunk_size, replication, origin));
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kVmStatus: {
-            r.expect_end();
-            WireWriter w;
-            put_shard_status(w, vm.status());
-            return seal_response(f.type, std::move(w));
-        }
-        default:
-            throw RpcError("bad version-manager message");
-    }
-}
-
-Buffer Dispatcher::handle_meta_provider(const FrameView& f) {
-    const auto it = meta_providers_.find(f.dst());
-    if (it == meta_providers_.end()) {
-        throw RpcError("no metadata-provider service on node " +
-                       std::to_string(f.dst()));
-    }
-    dht::MetadataProvider& mp = *it->second;
-    WireReader r(f.payload);
-
-    switch (f.type) {
-        case MsgType::kMetaPut: {
-            const meta::MetaKey key = get_meta_key(r);
-            const meta::MetaNode node = get_meta_node(r);
-            r.expect_end();
-            mp.put(key, node);
-            return seal_response(f.type, WireWriter());
-        }
-        case MsgType::kMetaGet: {
-            const meta::MetaKey key = get_meta_key(r);
-            r.expect_end();
-            WireWriter w;
-            put_meta_node(w, mp.get(key));
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kMetaTryGet: {
-            const meta::MetaKey key = get_meta_key(r);
-            r.expect_end();
-            const auto node = mp.try_get(key);
-            WireWriter w;
-            w.u8(node.has_value() ? 1 : 0);
-            if (node) {
-                put_meta_node(w, *node);
-            }
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kMetaErase: {
-            const meta::MetaKey key = get_meta_key(r);
-            r.expect_end();
-            mp.erase(key);
-            return seal_response(f.type, WireWriter());
-        }
-        default:
-            throw RpcError("bad metadata-provider message");
-    }
-}
-
-Buffer Dispatcher::handle_provider_manager(const FrameView& f) {
-    if (pm_ == nullptr || f.dst() != pm_node_) {
-        throw RpcError("no provider-manager service on node " +
-                       std::to_string(f.dst()));
-    }
-    provider::ProviderManager& pm = *pm_;
-    WireReader r(f.payload);
-
-    switch (f.type) {
-        case MsgType::kPlace: {
-            const std::uint64_t n_chunks = r.u64();
-            const std::uint32_t replication = r.u32();
-            const std::uint64_t chunk_bytes = r.u64();
-            r.expect_end();
-            WireWriter w;
-            put_placement_plan(w, pm.place(n_chunks, replication,
-                                           chunk_bytes));
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kMarkDead: {
-            const NodeId node = r.u32();
-            r.expect_end();
-            pm.mark_dead(node);
-            return seal_response(f.type, WireWriter());
-        }
-        case MsgType::kProviderJoin: {
-            const std::string name = r.str();
-            r.expect_end();
-            if (name.empty()) {
-                throw InvalidArgument("provider join without a name");
-            }
-            const auto jr = pm.join(name);
-            WireWriter w;
-            w.u32(jr.node);
-            w.u8(jr.rejoin ? 1 : 0);
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kProviderAnnounce: {
-            const NodeId node = r.u32();
-            const std::string host = r.str();
-            const std::uint32_t port = r.u32();
-            const auto inventory = get_chunk_holdings(r);
-            r.expect_end();
-            pm.announce(node, host, port, inventory);
-            return seal_response(f.type, WireWriter());
-        }
-        case MsgType::kProviderBeat: {
-            const NodeId node = r.u32();
-            const std::uint64_t seq = r.u64();
-            const auto added = get_chunk_holdings(r);
-            const auto removed = get_chunk_keys(r);
-            r.expect_end();
-            WireWriter w;
-            w.u8(pm.heartbeat(node, seq, added, removed) ? 1 : 0);
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kReportFailure: {
-            const NodeId suspect = r.u32();
-            const NodeId reporter = r.u32();
-            r.expect_end();
-            WireWriter w;
-            w.u8(pm.report_failure(suspect, reporter) ? 1 : 0);
-            return seal_response(f.type, std::move(w));
-        }
-        case MsgType::kRepairStatus: {
-            r.expect_end();
-            WireWriter w;
-            put_repair_status(w, pm.repair_status());
-            return seal_response(f.type, std::move(w));
-        }
-        default:
-            throw RpcError("bad provider-manager message");
-    }
 }
 
 }  // namespace blobseer::rpc

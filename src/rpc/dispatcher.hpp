@@ -5,7 +5,9 @@
 /// One Dispatcher fronts a whole deployment: it maps logical node ids to
 /// the service objects living there (version manager, provider manager,
 /// data providers, metadata providers) and routes each request frame by
-/// its message-type tag plus destination node. Service exceptions are
+/// its message-type tag plus destination node. The routes are generated
+/// from the op table (ops.hpp); each op's handler is one serve()
+/// function in dispatcher.cpp. Service exceptions are
 /// caught and encoded as error responses (protocol.hpp Status), so a
 /// server-side throw resurfaces client-side as the same exception type —
 /// the dispatcher itself never lets an exception escape.
@@ -28,6 +30,7 @@
 #include "common/metrics.hpp"
 #include "common/types.hpp"
 #include "rpc/messages.hpp"
+#include "rpc/ops.hpp"
 #include "rpc/protocol.hpp"
 
 namespace blobseer::provider {
@@ -93,8 +96,7 @@ class Dispatcher {
         version_managers_[node] = vm;
     }
     void set_provider_manager(NodeId node, provider::ProviderManager* pm) {
-        pm_node_ = node;
-        pm_ = pm;
+        provider_managers_ = {{node, pm}};
     }
     void add_data_provider(NodeId node, provider::DataProvider* dp) {
         data_providers_[node] = dp;
@@ -124,6 +126,14 @@ class Dispatcher {
     [[nodiscard]] Topology topology() const {
         const std::scoped_lock lock(topo_mu_);
         return topology_;
+    }
+
+    /// The advertised topology with a freshly allocated client id: the
+    /// answer to one kTopology request.
+    [[nodiscard]] Topology topology_for_new_client() {
+        Topology t = topology();
+        t.client_id = next_client_id_.fetch_add(1);
+        return t;
     }
 
     /// Liveness gate applied to every request's destination node (the
@@ -162,6 +172,8 @@ class Dispatcher {
                                           TimePoint received_at) noexcept;
 
   private:
+    friend struct OpRouter;  // the generated routes (dispatcher.cpp)
+
     /// Per-MsgType telemetry, resolved from the registry on first use and
     /// cached so the steady-state cost is two atomic loads per dispatch.
     struct OpTelemetry {
@@ -172,15 +184,7 @@ class Dispatcher {
 
     [[nodiscard]] OpTelemetry* telemetry_for(MsgType type) noexcept;
 
-    [[nodiscard]] RpcResponse handle(const FrameView& f);
-
-    [[nodiscard]] RpcResponse handle_data_provider(const FrameView& f);
-    [[nodiscard]] Buffer handle_version_manager(const FrameView& f);
-    [[nodiscard]] Buffer handle_meta_provider(const FrameView& f);
-    [[nodiscard]] Buffer handle_provider_manager(const FrameView& f);
-
-    NodeId pm_node_ = kInvalidNode;
-    provider::ProviderManager* pm_ = nullptr;
+    std::unordered_map<NodeId, provider::ProviderManager*> provider_managers_;
     std::unordered_map<NodeId, version::VersionManager*> version_managers_;
     std::unordered_map<NodeId, provider::DataProvider*> data_providers_;
     std::unordered_map<NodeId, dht::MetadataProvider*> meta_providers_;
@@ -189,9 +193,8 @@ class Dispatcher {
     Topology topology_;
     std::atomic<NodeId> next_client_id_{1u << 20};
     std::function<bool(NodeId)> fault_check_;
-    /// Indexed by MsgType tag (tags are small by construction; anything
-    /// out of range — a corrupt frame — just skips telemetry).
-    std::array<OpTelemetry, 128> op_telemetry_;
+    /// Indexed by MsgType tag; only tags of the op table get a series.
+    std::array<OpTelemetry, kTagLimit> op_telemetry_;
 };
 
 }  // namespace blobseer::rpc

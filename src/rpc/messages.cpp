@@ -4,48 +4,11 @@
 
 namespace blobseer::rpc {
 
-// ---- scalar wrappers -------------------------------------------------------
-
-void put_chunk_key(WireWriter& w, const chunk::ChunkKey& k) {
-    w.u8(static_cast<std::uint8_t>(k.kind));
-    w.u64(k.blob);
-    w.u64(k.uid);
-}
-
-chunk::ChunkKey get_chunk_key(WireReader& r) {
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(chunk::ChunkKey::Kind::kContent)) {
-        throw RpcError("frame decode: bad chunk-key kind " +
-                       std::to_string(kind));
-    }
-    chunk::ChunkKey k;
-    k.kind = static_cast<chunk::ChunkKey::Kind>(kind);
-    k.blob = r.u64();
-    k.uid = r.u64();
-    return k;
-}
-
-void put_meta_key(WireWriter& w, const meta::MetaKey& k) {
-    w.u64(k.blob);
-    w.u64(k.version);
-    w.u64(k.range.first);
-    w.u64(k.range.count);
-}
-
-meta::MetaKey get_meta_key(WireReader& r) {
-    meta::MetaKey k;
-    k.blob = r.u64();
-    k.version = r.u64();
-    k.range.first = r.u64();
-    k.range.count = r.u64();
-    return k;
-}
-
-void put_meta_node(WireWriter& w, const meta::MetaNode& n) {
+void Wire<meta::MetaNode>::put(WireWriter& w, const meta::MetaNode& n) {
     w.u8(static_cast<std::uint8_t>(n.kind));
     w.u8(n.cas ? 1 : 0);  // flags (v5): bit 0 = content-addressed leaf
     if (n.is_leaf()) {
-        put_node_ids(w, n.replicas);
+        encode(w, n.replicas);
         w.u64(n.chunk_uid);
         if (n.cas) {
             w.u64(n.chunk_uid_hi);
@@ -59,7 +22,7 @@ void put_meta_node(WireWriter& w, const meta::MetaNode& n) {
     }
 }
 
-meta::MetaNode get_meta_node(WireReader& r) {
+meta::MetaNode Wire<meta::MetaNode>::get(WireReader& r) {
     const std::uint8_t kind = r.u8();
     if (kind > static_cast<std::uint8_t>(meta::MetaNode::Kind::kLeaf)) {
         throw RpcError("frame decode: bad meta-node kind " +
@@ -74,7 +37,7 @@ meta::MetaNode get_meta_node(WireReader& r) {
     n.kind = static_cast<meta::MetaNode::Kind>(kind);
     n.cas = (flags & 1) != 0;
     if (n.is_leaf()) {
-        n.replicas = get_node_ids(r);
+        decode(r, n.replicas);
         n.chunk_uid = r.u64();
         if (n.cas) {
             n.chunk_uid_hi = r.u64();
@@ -89,406 +52,7 @@ meta::MetaNode get_meta_node(WireReader& r) {
     return n;
 }
 
-void put_tree_ref(WireWriter& w, const meta::TreeRef& t) {
-    w.u64(t.blob);
-    w.u64(t.version);
-    w.u64(t.size);
-}
-
-meta::TreeRef get_tree_ref(WireReader& r) {
-    meta::TreeRef t;
-    t.blob = r.u64();
-    t.version = r.u64();
-    t.size = r.u64();
-    return t;
-}
-
-void put_write_descriptor(WireWriter& w, const meta::WriteDescriptor& d) {
-    w.u64(d.version);
-    w.u64(d.offset);
-    w.u64(d.size);
-    w.u64(d.size_before);
-    w.u64(d.size_after);
-}
-
-meta::WriteDescriptor get_write_descriptor(WireReader& r) {
-    meta::WriteDescriptor d;
-    d.version = r.u64();
-    d.offset = r.u64();
-    d.size = r.u64();
-    d.size_before = r.u64();
-    d.size_after = r.u64();
-    return d;
-}
-
-void put_blob_info(WireWriter& w, const version::BlobInfo& b) {
-    w.u64(b.id);
-    w.u64(b.chunk_size);
-    w.u32(b.replication);
-}
-
-version::BlobInfo get_blob_info(WireReader& r) {
-    version::BlobInfo b;
-    b.id = r.u64();
-    b.chunk_size = r.u64();
-    b.replication = r.u32();
-    return b;
-}
-
-void put_version_status(WireWriter& w, version::VersionStatus s) {
-    w.u8(static_cast<std::uint8_t>(s));
-}
-
-version::VersionStatus get_version_status(WireReader& r) {
-    const std::uint8_t s = r.u8();
-    if (s > static_cast<std::uint8_t>(version::VersionStatus::kRetired)) {
-        throw RpcError("frame decode: bad version status " +
-                       std::to_string(s));
-    }
-    return static_cast<version::VersionStatus>(s);
-}
-
-void put_version_info(WireWriter& w, const version::VersionInfo& v) {
-    w.u64(v.version);
-    w.u64(v.size);
-    put_version_status(w, v.status);
-    put_tree_ref(w, v.tree);
-}
-
-version::VersionInfo get_version_info(WireReader& r) {
-    version::VersionInfo v;
-    v.version = r.u64();
-    v.size = r.u64();
-    v.status = get_version_status(r);
-    v.tree = get_tree_ref(r);
-    return v;
-}
-
-void put_assign_result(WireWriter& w, const version::AssignResult& a) {
-    w.u64(a.version);
-    w.u64(a.offset);
-    w.u64(a.size_before);
-    w.u64(a.size_after);
-    put_tree_ref(w, a.base);
-    w.varint(a.concurrent.size());
-    for (const auto& d : a.concurrent) {
-        put_write_descriptor(w, d);
-    }
-    w.u64(a.chunk_size);
-    w.u32(a.replication);
-}
-
-version::AssignResult get_assign_result(WireReader& r) {
-    version::AssignResult a;
-    a.version = r.u64();
-    a.offset = r.u64();
-    a.size_before = r.u64();
-    a.size_after = r.u64();
-    a.base = get_tree_ref(r);
-    const std::uint64_t n = r.varint_count(40);  // encoded WriteDescriptor
-    a.concurrent.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        a.concurrent.push_back(get_write_descriptor(r));
-    }
-    a.chunk_size = r.u64();
-    a.replication = r.u32();
-    return a;
-}
-
-void put_version_summary(WireWriter& w,
-                         const version::VersionManager::VersionSummary& s) {
-    w.u64(s.version);
-    put_version_status(w, s.status);
-    w.u64(s.offset);
-    w.u64(s.size);
-    w.u64(s.size_after);
-}
-
-version::VersionManager::VersionSummary get_version_summary(WireReader& r) {
-    version::VersionManager::VersionSummary s;
-    s.version = r.u64();
-    s.status = get_version_status(r);
-    s.offset = r.u64();
-    s.size = r.u64();
-    s.size_after = r.u64();
-    return s;
-}
-
-void put_retire_info(WireWriter& w,
-                     const version::VersionManager::RetireInfo& i) {
-    w.varint(i.retired.size());
-    for (const Version v : i.retired) {
-        w.u64(v);
-    }
-    w.varint(i.descriptors.size());
-    for (const auto& d : i.descriptors) {
-        put_write_descriptor(w, d);
-    }
-    w.varint(i.pinned.size());
-    for (const Version v : i.pinned) {
-        w.u64(v);
-    }
-    w.u64(i.keep_from);
-}
-
-version::VersionManager::RetireInfo get_retire_info(WireReader& r) {
-    version::VersionManager::RetireInfo i;
-    const std::uint64_t n_retired = r.varint_count(8);
-    i.retired.reserve(n_retired);
-    for (std::uint64_t k = 0; k < n_retired; ++k) {
-        i.retired.push_back(r.u64());
-    }
-    const std::uint64_t n_desc = r.varint_count(40);
-    i.descriptors.reserve(n_desc);
-    for (std::uint64_t k = 0; k < n_desc; ++k) {
-        i.descriptors.push_back(get_write_descriptor(r));
-    }
-    const std::uint64_t n_pinned = r.varint_count(8);
-    i.pinned.reserve(n_pinned);
-    for (std::uint64_t k = 0; k < n_pinned; ++k) {
-        i.pinned.push_back(r.u64());
-    }
-    i.keep_from = r.u64();
-    return i;
-}
-
-void put_shard_status(WireWriter& w, const version::ShardStatus& s) {
-    w.u32(s.shard);
-    w.u64(s.blobs);
-    w.u64(s.assigns);
-    w.u64(s.commits);
-    w.u64(s.aborts);
-    w.u64(s.publishes);
-    w.u64(s.backlog);
-    w.u64(s.backlog_high_water);
-}
-
-version::ShardStatus get_shard_status(WireReader& r) {
-    version::ShardStatus s;
-    s.shard = r.u32();
-    s.blobs = r.u64();
-    s.assigns = r.u64();
-    s.commits = r.u64();
-    s.aborts = r.u64();
-    s.publishes = r.u64();
-    s.backlog = r.u64();
-    s.backlog_high_water = r.u64();
-    return s;
-}
-
-void put_placement_plan(WireWriter& w, const provider::PlacementPlan& p) {
-    w.varint(p.size());
-    for (const auto& targets : p) {
-        put_node_ids(w, targets);
-    }
-}
-
-provider::PlacementPlan get_placement_plan(WireReader& r) {
-    const std::uint64_t n = r.varint_count(1);  // empty row = 1 byte
-    provider::PlacementPlan p;
-    p.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        p.push_back(get_node_ids(r));
-    }
-    return p;
-}
-
-void put_node_ids(WireWriter& w, const std::vector<NodeId>& v) {
-    w.varint(v.size());
-    for (const NodeId n : v) {
-        w.u32(n);
-    }
-}
-
-std::vector<NodeId> get_node_ids(WireReader& r) {
-    const std::uint64_t n = r.varint_count(4);
-    std::vector<NodeId> v;
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        v.push_back(r.u32());
-    }
-    return v;
-}
-
-// ---- membership & repair (protocol v6) -------------------------------------
-
-void put_chunk_holding(WireWriter& w, const provider::ChunkHolding& h) {
-    put_chunk_key(w, h.key);
-    w.u64(h.bytes);
-}
-
-provider::ChunkHolding get_chunk_holding(WireReader& r) {
-    provider::ChunkHolding h;
-    h.key = get_chunk_key(r);
-    h.bytes = r.u64();
-    return h;
-}
-
-void put_chunk_holdings(WireWriter& w,
-                        const std::vector<provider::ChunkHolding>& v) {
-    w.varint(v.size());
-    for (const auto& h : v) {
-        put_chunk_holding(w, h);
-    }
-}
-
-std::vector<provider::ChunkHolding> get_chunk_holdings(WireReader& r) {
-    const std::uint64_t n = r.varint_count(25);  // key (17) + bytes (8)
-    std::vector<provider::ChunkHolding> v;
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        v.push_back(get_chunk_holding(r));
-    }
-    return v;
-}
-
-void put_chunk_keys(WireWriter& w, const std::vector<chunk::ChunkKey>& v) {
-    w.varint(v.size());
-    for (const auto& k : v) {
-        put_chunk_key(w, k);
-    }
-}
-
-std::vector<chunk::ChunkKey> get_chunk_keys(WireReader& r) {
-    const std::uint64_t n = r.varint_count(17);  // kind + blob + uid
-    std::vector<chunk::ChunkKey> v;
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        v.push_back(get_chunk_key(r));
-    }
-    return v;
-}
-
-void put_provider_health(WireWriter& w, const provider::ProviderHealth& h) {
-    w.u32(h.node);
-    w.u8(h.alive ? 1 : 0);
-    w.u8(h.heartbeating ? 1 : 0);
-    w.u64(h.beats);
-    w.u64(h.last_beat_age_ms);
-    w.u64(h.chunks);
-    w.u64(h.bytes);
-}
-
-provider::ProviderHealth get_provider_health(WireReader& r) {
-    provider::ProviderHealth h;
-    h.node = r.u32();
-    h.alive = r.u8() != 0;
-    h.heartbeating = r.u8() != 0;
-    h.beats = r.u64();
-    h.last_beat_age_ms = r.u64();
-    h.chunks = r.u64();
-    h.bytes = r.u64();
-    return h;
-}
-
-void put_repair_status(WireWriter& w, const provider::RepairStatus& s) {
-    w.u64(s.backlog);
-    w.u64(s.high_water);
-    w.u64(s.enqueued);
-    w.u64(s.completed);
-    w.u64(s.skipped);
-    w.u64(s.failed);
-    w.u64(s.deferred);
-    w.u64(s.under_replicated);
-    w.varint(s.providers.size());
-    for (const auto& h : s.providers) {
-        put_provider_health(w, h);
-    }
-}
-
-provider::RepairStatus get_repair_status(WireReader& r) {
-    provider::RepairStatus s;
-    s.backlog = r.u64();
-    s.high_water = r.u64();
-    s.enqueued = r.u64();
-    s.completed = r.u64();
-    s.skipped = r.u64();
-    s.failed = r.u64();
-    s.deferred = r.u64();
-    s.under_replicated = r.u64();
-    const std::uint64_t n = r.varint_count(38);  // encoded ProviderHealth
-    s.providers.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        s.providers.push_back(get_provider_health(r));
-    }
-    return s;
-}
-
-// ---- observability (protocol v7) -------------------------------------------
-
-void put_metric_sample(WireWriter& w, const MetricSample& s) {
-    w.str(s.name);
-    w.varint(s.labels.size());
-    for (const auto& [k, v] : s.labels) {
-        w.str(k);
-        w.str(v);
-    }
-    w.u8(static_cast<std::uint8_t>(s.kind));
-    w.u64(s.value);
-    w.u64(s.high_water);
-    w.u64(s.count);
-    w.u64(s.sum);
-    w.u64(s.min);
-    w.u64(s.max);
-    w.varint(s.buckets.size());
-    for (const auto& [upper, count] : s.buckets) {
-        w.u64(upper);
-        w.u64(count);
-    }
-}
-
-MetricSample get_metric_sample(WireReader& r) {
-    MetricSample s;
-    s.name = r.str();
-    const std::uint64_t n_labels = r.varint_count(2);  // two empty strings
-    s.labels.reserve(n_labels);
-    for (std::uint64_t i = 0; i < n_labels; ++i) {
-        std::string k = r.str();
-        std::string v = r.str();
-        s.labels.emplace_back(std::move(k), std::move(v));
-    }
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(MetricKind::kCallback)) {
-        throw RpcError("frame decode: bad metric kind " +
-                       std::to_string(kind));
-    }
-    s.kind = static_cast<MetricKind>(kind);
-    s.value = r.u64();
-    s.high_water = r.u64();
-    s.count = r.u64();
-    s.sum = r.u64();
-    s.min = r.u64();
-    s.max = r.u64();
-    const std::uint64_t n_buckets = r.varint_count(16);  // two u64s
-    s.buckets.reserve(n_buckets);
-    for (std::uint64_t i = 0; i < n_buckets; ++i) {
-        const std::uint64_t upper = r.u64();
-        const std::uint64_t count = r.u64();
-        s.buckets.emplace_back(upper, count);
-    }
-    return s;
-}
-
-void put_metrics_snapshot(WireWriter& w, const MetricsSnapshot& snap) {
-    w.varint(snap.samples.size());
-    for (const MetricSample& s : snap.samples) {
-        put_metric_sample(w, s);
-    }
-}
-
-MetricsSnapshot get_metrics_snapshot(WireReader& r) {
-    // Minimum encoded sample: empty name + no labels + kind + 6 u64s +
-    // no buckets.
-    const std::uint64_t n = r.varint_count(51);
-    MetricsSnapshot snap;
-    snap.samples.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        snap.samples.push_back(get_metric_sample(r));
-    }
-    return snap;
-}
-
-void put_span_record(WireWriter& w, const trace::SpanRecord& s) {
+void Wire<trace::SpanRecord>::put(WireWriter& w, const trace::SpanRecord& s) {
     w.u64(s.trace_id);
     w.u32(s.span_id);
     w.u32(s.parent_span);
@@ -502,7 +66,7 @@ void put_span_record(WireWriter& w, const trace::SpanRecord& s) {
     w.str(s.op_name());
 }
 
-trace::SpanRecord get_span_record(WireReader& r) {
+trace::SpanRecord Wire<trace::SpanRecord>::get(WireReader& r) {
     trace::SpanRecord s;
     s.trace_id = r.u64();
     s.span_id = r.u32();
@@ -522,70 +86,18 @@ trace::SpanRecord get_span_record(WireReader& r) {
     return s;
 }
 
-void put_span_records(WireWriter& w,
-                      const std::vector<trace::SpanRecord>& v) {
-    w.varint(v.size());
-    for (const auto& s : v) {
-        put_span_record(w, s);
-    }
+void Wire<Topology>::put(WireWriter& w, const Topology& t) {
+    encode(w, describe(t));
 }
 
-std::vector<trace::SpanRecord> get_span_records(WireReader& r) {
-    const std::uint64_t n = r.varint_count(51);  // fixed fields + empty op
-    std::vector<trace::SpanRecord> v;
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        v.push_back(get_span_record(r));
-    }
-    return v;
-}
-
-// ---- control plane ---------------------------------------------------------
-
-void put_topology(WireWriter& w, const Topology& t) {
-    put_node_ids(w, t.vm_nodes);
-    w.u32(t.pm_node);
-    put_node_ids(w, t.data_nodes);
-    put_node_ids(w, t.meta_nodes);
-    w.u32(t.meta_replication);
-    w.u32(t.default_replication);
-    w.u64(t.publish_timeout_ms);
-    w.u32(t.client_id);
-    w.u64(t.uid_epoch);
-    w.u8(t.content_addressed ? 1 : 0);
-    w.varint(t.provider_endpoints.size());
-    for (const auto& ep : t.provider_endpoints) {
-        w.u32(ep.node);
-        w.str(ep.host);
-        w.u32(ep.port);
-    }
-}
-
-Topology get_topology(WireReader& r) {
+Topology Wire<Topology>::get(WireReader& r) {
     Topology t;
-    t.vm_nodes = get_node_ids(r);
+    auto fields = describe(t);
+    decode(r, fields);
     if (t.vm_nodes.empty() || t.vm_nodes.size() > kMaxBlobShards) {
         throw RpcError("frame decode: topology advertises " +
                        std::to_string(t.vm_nodes.size()) +
                        " version-manager shards");
-    }
-    t.pm_node = r.u32();
-    t.data_nodes = get_node_ids(r);
-    t.meta_nodes = get_node_ids(r);
-    t.meta_replication = r.u32();
-    t.default_replication = r.u32();
-    t.publish_timeout_ms = r.u64();
-    t.client_id = r.u32();
-    t.uid_epoch = r.u64();
-    t.content_addressed = r.u8() != 0;
-    const std::uint64_t n = r.varint_count(9);  // node + empty host + port
-    t.provider_endpoints.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        Topology::ProviderEndpoint ep;
-        ep.node = r.u32();
-        ep.host = r.str();
-        ep.port = r.u32();
-        t.provider_endpoints.push_back(std::move(ep));
     }
     return t;
 }

@@ -16,7 +16,7 @@
 ///   32      4     span id of the carrying RPC
 ///   36      1     trace flags (bit 0: sampled)
 ///   37      3     reserved, zero
-///   40      ...   payload (message codec, see messages.hpp)
+///   40      ...   payload (the op's request or response, see ops.hpp)
 ///
 /// The correlation id is what lets one connection carry many in-flight
 /// requests with out-of-order responses (protocol v3): a multiplexing
@@ -105,6 +105,7 @@ inline constexpr NodeId kControlNode = 0xfffffffeu;
 
 /// Every request/response type in the protocol. Values are wire ABI: new
 /// types must be appended within their service block, never renumbered.
+/// Each one has exactly one entry in the op table (ops.hpp).
 enum class MsgType : std::uint16_t {
     // data provider service
     kChunkPut = 1,
@@ -156,50 +157,9 @@ enum class MsgType : std::uint16_t {
     kTraceDump = 82,
 };
 
-[[nodiscard]] inline const char* to_string(MsgType t) noexcept {
-    switch (t) {
-        case MsgType::kChunkPut: return "chunk-put";
-        case MsgType::kChunkGet: return "chunk-get";
-        case MsgType::kChunkErase: return "chunk-erase";
-        case MsgType::kChunkCheck: return "chunk-check";
-        case MsgType::kChunkPushStart: return "chunk-push-start";
-        case MsgType::kChunkPushSome: return "chunk-push-some";
-        case MsgType::kChunkPushEnd: return "chunk-push-end";
-        case MsgType::kChunkPullStart: return "chunk-pull-start";
-        case MsgType::kChunkPullSome: return "chunk-pull-some";
-        case MsgType::kChunkDecref: return "chunk-decref";
-        case MsgType::kDedupStatus: return "dedup-status";
-        case MsgType::kBlobCreate: return "blob-create";
-        case MsgType::kBlobClone: return "blob-clone";
-        case MsgType::kBlobInfo: return "blob-info";
-        case MsgType::kAssign: return "assign";
-        case MsgType::kCommit: return "commit";
-        case MsgType::kGetVersion: return "get-version";
-        case MsgType::kWaitPublished: return "wait-published";
-        case MsgType::kHistory: return "history";
-        case MsgType::kPin: return "pin";
-        case MsgType::kUnpin: return "unpin";
-        case MsgType::kRetire: return "retire";
-        case MsgType::kDescriptorOf: return "descriptor-of";
-        case MsgType::kBlobCloneFrom: return "blob-clone-from";
-        case MsgType::kVmStatus: return "vm-status";
-        case MsgType::kMetaPut: return "meta-put";
-        case MsgType::kMetaGet: return "meta-get";
-        case MsgType::kMetaTryGet: return "meta-try-get";
-        case MsgType::kMetaErase: return "meta-erase";
-        case MsgType::kPlace: return "place";
-        case MsgType::kMarkDead: return "mark-dead";
-        case MsgType::kProviderJoin: return "provider-join";
-        case MsgType::kProviderAnnounce: return "provider-announce";
-        case MsgType::kProviderBeat: return "provider-beat";
-        case MsgType::kReportFailure: return "report-failure";
-        case MsgType::kRepairStatus: return "repair-status";
-        case MsgType::kTopology: return "topology";
-        case MsgType::kMetricsDump: return "metrics-dump";
-        case MsgType::kTraceDump: return "trace-dump";
-    }
-    return "?";
-}
+/// Telemetry and log name of a message type ("get-version"), generated
+/// from the op table (ops.hpp); "?" for a tag the table lacks.
+[[nodiscard]] const char* to_string(MsgType t) noexcept;
 
 /// Wire status of a response. Mirrors the exception hierarchy in
 /// common/error.hpp so a server-side throw resurfaces client-side as the

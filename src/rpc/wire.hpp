@@ -6,9 +6,9 @@
 /// classes (see DESIGN.md §7). The format is deliberately boring:
 /// fixed-width little-endian integers for protocol-critical fields,
 /// LEB128 varints for counts and lengths, length-prefixed byte strings
-/// for payloads. There is no reflection and no schema compiler — each
-/// message codec is a pair of hand-written put/get functions, which keeps
-/// the wire format auditable byte by byte.
+/// for payloads. There is no schema compiler: messages.hpp turns each
+/// type's declared field list into calls on these two classes, which
+/// keeps the wire format auditable byte by byte.
 ///
 /// Safety contract: WireReader never reads past the end of its buffer and
 /// never invokes UB on malformed input; every violation (truncation,
@@ -69,7 +69,6 @@ class WireWriter {
     [[nodiscard]] const Buffer& buffer() const noexcept { return buf_; }
     [[nodiscard]] Buffer take() noexcept { return std::move(buf_); }
 
-  private:
     template <typename T>
     void fixed(T v) {
         // Little-endian store; portable on the LE targets we build for,
@@ -79,6 +78,7 @@ class WireWriter {
         std::memcpy(buf_.data() + n, &v, sizeof(T));
     }
 
+  private:
     Buffer buf_;
 };
 
@@ -153,15 +153,6 @@ class WireReader {
         }
     }
 
-  private:
-    void need(std::uint64_t n) const {
-        if (n > remaining()) {
-            throw RpcError("frame decode: truncated (need " +
-                           std::to_string(n) + " bytes, have " +
-                           std::to_string(remaining()) + ")");
-        }
-    }
-
     template <typename T>
     [[nodiscard]] T fixed() {
         need(sizeof(T));
@@ -169,6 +160,15 @@ class WireReader {
         std::memcpy(&v, data_.data() + pos_, sizeof(T));
         pos_ += sizeof(T);
         return v;
+    }
+
+  private:
+    void need(std::uint64_t n) const {
+        if (n > remaining()) {
+            throw RpcError("frame decode: truncated (need " +
+                           std::to_string(n) + " bytes, have " +
+                           std::to_string(remaining()) + ")");
+        }
     }
 
     ConstBytes data_;

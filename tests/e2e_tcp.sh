@@ -287,6 +287,7 @@ grep -q "stored: *0 chunks, 0 bytes" "$WORK/cli6.log" ||
 grep -q "4 chunks / 262144 bytes reclaimed" "$WORK/cli6.log" ||
     fail "gc reclaim counters did not account for the deleted chunks"
 grep -q "error:" "$WORK/cli6.log" && fail "command error after cas restart"
+stop_serverd
 
 # --- phase 4: provider daemons, heartbeat death, repair, rejoin -------------
 

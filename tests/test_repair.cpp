@@ -13,6 +13,7 @@
 #include "provider/provider_manager.hpp"
 #include "provider/repair_queue.hpp"
 #include "qos/failure_schedule.hpp"
+#include "rpc/protocol.hpp"
 #include "testing_util.hpp"
 
 namespace blobseer::core {
@@ -70,6 +71,24 @@ TEST(Heartbeat, RejoinByNameReclaimsNodeId) {
     const auto other = f.pm.join("dpB");
     EXPECT_FALSE(other.rejoin);
     EXPECT_NE(other.node, f.node);
+}
+
+TEST(Heartbeat, EmptyJoinNameIsRejected) {
+    ManagerFixture f;
+    const std::size_t before = f.pm.provider_count();
+    EXPECT_THROW((void)f.pm.join(""), InvalidArgument);
+    EXPECT_THROW((void)f.pm.join(""), InvalidArgument);
+    EXPECT_EQ(f.pm.provider_count(), before);  // no anonymous entries
+}
+
+TEST(Heartbeat, EmptyJoinNameIsRejectedOverTheWire) {
+    Cluster cluster(testing::fast_config());
+    rpc::WireWriter name;
+    name.str("");
+    const Buffer resp = cluster.dispatcher().dispatch(
+        rpc::seal_request(rpc::MsgType::kProviderJoin,
+                          cluster.provider_manager_node(), std::move(name)));
+    EXPECT_EQ(rpc::parse_frame(resp).status(), rpc::Status::kInvalidArgument);
 }
 
 TEST(Heartbeat, FlapDoesNotRepairTwice) {

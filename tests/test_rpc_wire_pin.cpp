@@ -209,6 +209,7 @@ TEST(WirePin, EveryOpTagNameRequestAndResponse) {
         SCOPED_TRACE(p.name);
         EXPECT_EQ(static_cast<std::uint16_t>(p.type), p.tag);
         EXPECT_STREQ(rpc::to_string(p.type), p.name);
+        EXPECT_TRUE(rpc::known_op(p.type)) << "missing from the op table";
         const auto it = seen.find(p.type);
         ASSERT_NE(it, seen.end()) << "op never exercised";
         EXPECT_EQ(it->second.request, p.request);

@@ -316,6 +316,23 @@ TEST_F(TracedClusterTest, MetricsDumpExposesPerOpServerTelemetry) {
     EXPECT_GT(latency_count_by_op["chunk-get"], 0u);
 }
 
+TEST(UntracedCluster, UnknownTagsGetErrorsButNoPerOpSeries) {
+    core::Cluster cluster(fast_config());
+    // Tags that parse but name no op of the table.
+    for (const std::uint16_t tag : {12, 30, 47, 127}) {
+        const Buffer resp = cluster.dispatcher().dispatch(rpc::seal_request(
+            static_cast<rpc::MsgType>(tag), cluster.version_manager_node(),
+            rpc::WireWriter()));
+        EXPECT_EQ(rpc::parse_frame(resp).status(), rpc::Status::kRpcError)
+            << "tag " << tag;
+    }
+    for (const MetricSample& s : MetricsRegistry::instance().snapshot().samples) {
+        for (const auto& [k, v] : s.labels) {
+            EXPECT_FALSE(k == "op" && v == "?") << s.name;
+        }
+    }
+}
+
 TEST(UntracedCluster, NoSampledSpansWithoutOptIn) {
     core::ClusterConfig cfg = fast_config();
     ASSERT_FALSE(cfg.client_trace);
