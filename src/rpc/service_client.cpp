@@ -1,7 +1,7 @@
 #include "rpc/service_client.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <optional>
 
 #include "rpc/protocol.hpp"
 

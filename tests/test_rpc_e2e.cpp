@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/remote.hpp"
+#include "rpc/service_client.hpp"
 #include "rpc/tcp_transport.hpp"
 #include "testing_util.hpp"
 
@@ -109,6 +110,29 @@ TEST_F(RpcEndToEnd, CloneAndRetireOverTcp) {
     const auto st = client->retire_versions(blob.id(), 4);
     EXPECT_GE(st.versions, 1u);
     EXPECT_THROW((void)client->read(blob.id(), 1, 0, out), VersionRetired);
+}
+
+// The per-op async stub is gone; the table's generic call serves any op.
+template <class S>
+concept HasDecrefAsync = requires(S& s) {
+    s.chunk_decref_async(NodeId{}, chunk::ChunkKey{});
+};
+static_assert(!HasDecrefAsync<rpc::ServiceClient>);
+
+TEST_F(RpcEndToEnd, AnyOpRunsAsyncThroughTheOpTable) {
+    rpc::TcpTransport tcp("127.0.0.1", server_.port());
+    const rpc::Topology topo = rpc::fetch_topology(tcp);
+    rpc::ServiceClient svc(tcp, topo.vm_nodes, topo.pm_node, topo.client_id);
+    const NodeId dp = topo.data_nodes.at(0);
+    const chunk::ChunkKey key{1, 42};
+    svc.put_chunk(dp, key, testing::tagged(1, 1, 0, 512));
+    ASSERT_TRUE(svc.check_chunk(dp, key, /*want_incref=*/true, 512));
+
+    auto first = svc.call_async<rpc::op::ChunkDecref>(dp, key);
+    EXPECT_EQ(first.get(), 1u);
+    auto last = svc.call_async<rpc::op::ChunkDecref>(dp, key);
+    EXPECT_EQ(last.get(), 0u);  // reclaimed
+    EXPECT_THROW((void)svc.get_chunk(dp, key, 0, 0), NotFoundError);
 }
 
 }  // namespace

@@ -153,7 +153,7 @@ class HostileTest : public ::testing::Test {
         svc_ = std::make_unique<ServiceClient>(*transport_, topo_.vm_nodes,
                                                topo_.pm_node, 77);
         // Blob 1 is what every sampled request names. Blob 2 is the
-        // witness: one bit away from no sampled blob id, so no flipped
+        // witness: no single bit flip turns id 1 into 2, so no flipped
         // request can retire or otherwise touch it.
         for (int i = 0; i < 2; ++i) {
             const BlobId blob = svc_->create_blob(4096, 1).id;
