@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
+#include <string>
 
 #include "engine/log_engine.hpp"
 #include "meta/disk_meta_store.hpp"
@@ -63,6 +65,49 @@ TEST(NodeSerialization, TruncatedInputRejected) {
     EXPECT_THROW(deserialize_node(ConstBytes(raw).first(raw.size() - 3)),
                  ConsistencyError);
     EXPECT_THROW(deserialize_node({}), ConsistencyError);
+}
+
+std::string hex(ConstBytes b) {
+    std::string out;
+    out.reserve(b.size() * 2);
+    for (const std::uint8_t c : b) {
+        char two[3];
+        std::snprintf(two, sizeof two, "%02x", c);
+        out += two;
+    }
+    return out;
+}
+
+// LogMetaStore records persist these exact bytes; a layout change must
+// come with a format version bump, not slip in through a refactor.
+TEST(NodeSerialization, GoldenBytes) {
+    EXPECT_EQ(
+        hex(serialize_node(MetaNode::inner({7, 42}, {kInvalidBlob, 0}))),
+              "00000000"
+              "0700000000000000"
+              "2a00000000000000"
+              "ffffffffffffffff"
+              "0000000000000000");
+    EXPECT_EQ(
+        hex(serialize_node(MetaNode::leaf({3, 9, 27}, 0xDEADBEEF, 65536))),
+              "01000000"
+              "efbeadde00000000"
+              "00000100"
+              "03000000"
+              "03000000090000001b000000");
+    EXPECT_EQ(hex(serialize_node(MetaNode::cas_leaf(
+                  {4}, 0x0123456789ABCDEF, 0xFEDCBA9876543210, 4096))),
+              "01010000"
+              "1032547698badcfe"
+              "efcdab8967452301"
+              "00100000"
+              "01000000"
+              "04000000");
+    EXPECT_EQ(hex(serialize_node(MetaNode::leaf({}, 0, 0))),
+              "01000000"
+              "0000000000000000"
+              "00000000"
+              "00000000");
 }
 
 MetaKey key_of(std::uint64_t i) { return MetaKey{9, 3, {i * 2, 2}}; }
