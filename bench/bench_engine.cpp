@@ -1,25 +1,21 @@
 /// \file bench_engine.cpp
-/// \brief Storage-engine shootout: file-per-chunk DiskStore vs the
-///        log-structured LogStore on a many-small-chunk workload — plus
-///        the storage-tiering benchmarks of DESIGN.md §14: a working-set
-///        sweep over the three-tier store (p50/p99 read latency at
-///        0.5x/2x/10x the RAM budget, with and without the compressed
-///        file cache) and the compact-time recompression ratio on a
-///        compressible corpus.
+/// \brief Storage-engine bench: the log-structured LogStore on a
+///        many-small-chunk workload — plus the storage-tiering benchmarks
+///        of DESIGN.md §14: a working-set sweep over the three-tier store
+///        (p50/p99 read latency at 0.5x/2x/10x the RAM budget, with and
+///        without the compressed file cache) and the compact-time
+///        recompression ratio on a compressible corpus.
 ///
-/// The workload the ROADMAP's production north star implies — millions of
-/// 4 KiB–256 KiB chunks — is exactly where file-per-chunk collapses: one
-/// inode and a write+rename syscall pair per put, and an O(directory)
-/// rescan on every provider restart. This bench measures put, random get
-/// and (most importantly) reopen time for both backends at 100k small
-/// chunks; the log engine's reopen is a checkpoint load, which must come
-/// in at least an order of magnitude faster than DiskStore's rescan.
+/// The workload the ROADMAP's production north star implies is millions
+/// of 4 KiB–256 KiB chunks. This bench measures put, random get and
+/// reopen time (a checkpoint load: provider restart) at 100k small
+/// chunks.
 ///
 ///   $ ./build/bench_engine                 # full run (100k chunks)
 ///   $ BLOBSEER_BENCH_SCALE=0.05 ./build/bench_engine   # smoke run
 ///
 /// Scale note (see bench_util.hpp): absolute numbers depend on the host
-/// filesystem; the claim under test is the *ratio* between backends.
+/// filesystem.
 
 #include <algorithm>
 #include <filesystem>
@@ -29,7 +25,6 @@
 
 #include "bench_util.hpp"
 #include "cache/compressed_file_cache.hpp"
-#include "chunk/disk_store.hpp"
 #include "chunk/log_store.hpp"
 #include "chunk/tiered_store.hpp"
 
@@ -57,15 +52,14 @@ std::size_t size_of(std::uint64_t uid) {
     return 128 + static_cast<std::size_t>(mix64(uid) % 3968);
 }
 
-template <typename MakeStore>
-Timings run_backend(const MakeStore& make_store, std::size_t n_chunks,
-                    std::size_t n_gets) {
+Timings run_log_store(const fs::path& dir, std::size_t n_chunks,
+                      std::size_t n_gets) {
     Timings t;
     {
-        auto store = make_store();
+        LogStore store(dir);
         const Stopwatch put_sw;
         for (std::uint64_t i = 0; i < n_chunks; ++i) {
-            store->put(ChunkKey{1, i}, payload(i, size_of(i)));
+            store.put(ChunkKey{1, i}, payload(i, size_of(i)));
         }
         t.put_s = put_sw.elapsed_seconds();
 
@@ -73,7 +67,7 @@ Timings run_backend(const MakeStore& make_store, std::size_t n_chunks,
         const Stopwatch get_sw;
         for (std::size_t i = 0; i < n_gets; ++i) {
             const std::uint64_t uid = rng() % n_chunks;
-            auto got = store->get(ChunkKey{1, uid});
+            auto got = store.get(ChunkKey{1, uid});
             if (!got || (*got)->size() != size_of(uid)) {
                 std::fprintf(stderr, "bench_engine: bad readback uid %llu\n",
                              static_cast<unsigned long long>(uid));
@@ -85,8 +79,8 @@ Timings run_backend(const MakeStore& make_store, std::size_t n_chunks,
 
     // Provider restart: reopen on the same directory and count recovery.
     const Stopwatch reopen_sw;
-    auto reopened = make_store();
-    t.recovered = reopened->count();
+    LogStore reopened(dir);
+    t.recovered = reopened.count();
     t.reopen_s = reopen_sw.elapsed_seconds();
     return t;
 }
@@ -265,21 +259,11 @@ int main() {
     std::printf("bench_engine: %zu chunks of 128..4096 B, %zu random gets\n",
                 n_chunks, n_gets);
 
-    const fs::path disk_dir = root / "disk";
-    const Timings disk = run_backend(
-        [&] { return std::make_unique<DiskStore>(disk_dir); }, n_chunks,
-        n_gets);
-
-    const fs::path log_dir = root / "log";
-    const Timings log = run_backend(
-        [&] { return std::make_unique<LogStore>(log_dir); }, n_chunks,
-        n_gets);
-
-    if (disk.recovered != n_chunks || log.recovered != n_chunks) {
+    const Timings log = run_log_store(root / "log", n_chunks, n_gets);
+    if (log.recovered != n_chunks) {
         std::fprintf(stderr,
-                     "bench_engine: recovery mismatch (disk %zu, log %zu, "
-                     "want %zu)\n",
-                     disk.recovered, log.recovered, n_chunks);
+                     "bench_engine: recovery mismatch (log %zu, want %zu)\n",
+                     log.recovered, n_chunks);
         fs::remove_all(root);
         return 1;
     }
@@ -289,23 +273,9 @@ int main() {
     const auto rate = [](std::size_t n, double s) {
         return s > 0 ? static_cast<double>(n) / s : 0.0;
     };
-    table.row("disk (file-per-chunk)", rate(n_chunks, disk.put_s),
-              rate(n_gets, disk.get_s), disk.reopen_s * 1e3, disk.recovered);
-    table.row("log  (engine)", rate(n_chunks, log.put_s),
+    table.row("log (engine)", rate(n_chunks, log.put_s),
               rate(n_gets, log.get_s), log.reopen_s * 1e3, log.recovered);
-    table.print("file-per-chunk vs log engine, " + std::to_string(n_chunks) +
-                " small chunks");
-
-    const double speedup =
-        log.reopen_s > 0 ? disk.reopen_s / log.reopen_s : 0.0;
-    const char* verdict = "";
-    if (n_chunks >= 100'000) {  // the bar is defined at 100k chunks
-        verdict = speedup >= 10.0 ? " (>= 10x: acceptance met)"
-                                  : " (below the 10x acceptance bar)";
-    }
-    std::printf("\nreopen speedup (disk rescan / log checkpoint load): "
-                "%.1fx%s\n",
-                speedup, verdict);
+    table.print("log engine, " + std::to_string(n_chunks) + " small chunks");
 
     run_tiering_section(root);
     run_compression_section(root);

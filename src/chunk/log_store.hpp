@@ -1,14 +1,15 @@
 /// \file log_store.hpp
 /// \brief Chunk store backed by the log-structured engine.
 ///
-/// The file-per-chunk DiskStore costs an inode and a write+rename syscall
-/// pair per chunk, and restarts pay an O(directory) rescan — untenable at
-/// millions of 4 KiB–256 KiB chunks. LogStore appends chunks as
-/// checksummed records to the shared engine (engine::LogEngine,
-/// DESIGN.md §8): restart recovery is a checkpoint load, deletes are
-/// tombstones, and dead space from erase() is reclaimed by the engine's
-/// background compactor. Selectable as core::StoreBackend::kLog, or as
-/// the durable tier under TwoTierStore (StoreBackend::kTwoTierLog).
+/// Paper §IV-B's persistent chunk storage. A file per chunk would cost an
+/// inode and a write+rename syscall pair per chunk, and restarts an
+/// O(directory) rescan — untenable at millions of 4 KiB–256 KiB chunks.
+/// LogStore instead appends chunks as checksummed records to the shared
+/// engine (engine::LogEngine, DESIGN.md §8): restart recovery is a
+/// checkpoint load, deletes are tombstones, and dead space from erase()
+/// is reclaimed by the engine's background compactor. Selectable as
+/// core::StoreBackend::kLog, or as the durable tier under TieredStore
+/// (StoreBackend::kTwoTierLog, kThreeTierLog).
 
 #pragma once
 

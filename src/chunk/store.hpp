@@ -2,8 +2,10 @@
 /// \brief Abstract chunk storage backend used by data providers.
 ///
 /// Implementations: RamStore (the paper's original RAM-only prototype,
-/// §IV-A), DiskStore (persistent storage, §IV-B) and TwoTierStore (RAM as
-/// a caching layer over disk, the combination §IV-B describes).
+/// §IV-A), LogStore (persistent storage on the log engine, §IV-B) and
+/// TieredStore (RAM, optionally over a compressed file cache, as a
+/// caching layer over a durable store — the combination §IV-B
+/// describes). core::make_chunk_store builds the stack a config selects.
 ///
 /// Chunks are immutable: put() of an existing key is idempotent (replicas
 /// of the same chunk are bit-identical by construction) and get() returns

@@ -20,8 +20,8 @@
 /// The middle tier is disposable: corrupt/missing entries fall through
 /// to the backend, and deleting its directory loses nothing.
 ///
-/// Constructed without a file cache this is exactly the old TwoTierStore
-/// (the name survives as an alias in two_tier_store.hpp).
+/// Constructed without a file cache this is the plain two-tier scheme
+/// (StoreBackend::kTwoTierLog); with one, kThreeTierLog.
 
 #pragma once
 

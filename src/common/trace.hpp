@@ -19,7 +19,7 @@
 ///
 /// Completed spans land in a bounded lock-free ring (TraceBuffer) when
 /// the trace is sampled or the span was slow; kTraceDump drains the ring
-/// remotely. The ring is seqlock-per-slot over relaxed atomic words —
+/// remotely. The ring is seqlock-per-slot over atomic words —
 /// writers never block, readers discard slots that changed underneath
 /// them — so it is safe (and TSan-clean) on the RPC hot path.
 
@@ -158,8 +158,9 @@ class TraceBuffer {
     static constexpr std::size_t kWords = sizeof(SpanRecord) / 8;
 
     /// Seqlock per slot: seq even = stable, odd = being written. The
-    /// payload words are relaxed atomics so concurrent read/write is
-    /// defined behavior; the seq acquire/release pair orders them.
+    /// payload words are atomics so concurrent read/write is defined
+    /// behavior; release stores / acquire loads of them and the seq
+    /// acquire/release pair order them without a fence.
     struct Slot {
         std::atomic<std::uint64_t> seq{0};
         std::array<std::atomic<std::uint64_t>, kWords> words{};

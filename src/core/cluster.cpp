@@ -9,14 +9,12 @@
 #include <cstring>
 
 #include "cache/compressed_file_cache.hpp"
-#include "chunk/disk_store.hpp"
 #include "chunk/log_store.hpp"
 #include "chunk/ram_store.hpp"
-#include "chunk/two_tier_store.hpp"
+#include "chunk/tiered_store.hpp"
 #include "core/client.hpp"
 #include "engine/log_engine.hpp"
 #include "engine/segment_file.hpp"
-#include "meta/disk_meta_store.hpp"
 #include "meta/log_meta_store.hpp"
 #include "rpc/sim_transport.hpp"
 #include "rpc/tcp_transport.hpp"
@@ -26,44 +24,11 @@ namespace blobseer::core {
 namespace {
 
 std::unique_ptr<chunk::LogStore> make_log_store(const ClusterConfig& cfg,
-                                                std::size_t index) {
+                                                const std::string& dir_name) {
     engine::EngineConfig ecfg;
-    ecfg.dir = cfg.disk_root / ("dp-" + std::to_string(index));
+    ecfg.dir = cfg.disk_root / dir_name;
     ecfg.compress_on_compact = cfg.compress_cold_segments;
     return std::make_unique<chunk::LogStore>(std::move(ecfg));
-}
-
-std::unique_ptr<chunk::ChunkStore> make_store(const ClusterConfig& cfg,
-                                              std::size_t index) {
-    switch (cfg.store) {
-        case StoreBackend::kRam:
-            return std::make_unique<chunk::RamStore>();
-        case StoreBackend::kDisk:
-            return std::make_unique<chunk::DiskStore>(
-                cfg.disk_root / ("dp-" + std::to_string(index)));
-        case StoreBackend::kTwoTier:
-            return std::make_unique<chunk::TwoTierStore>(
-                std::make_unique<chunk::DiskStore>(
-                    cfg.disk_root / ("dp-" + std::to_string(index))),
-                cfg.ram_cache_budget);
-        case StoreBackend::kLog:
-            return make_log_store(cfg, index);
-        case StoreBackend::kTwoTierLog:
-            return std::make_unique<chunk::TieredStore>(
-                make_log_store(cfg, index), cfg.ram_cache_budget);
-        case StoreBackend::kThreeTierLog: {
-            cache::FileCacheConfig fcfg;
-            const auto root = cfg.file_cache_dir.empty()
-                                  ? cfg.disk_root / "file-cache"
-                                  : cfg.file_cache_dir;
-            fcfg.dir = root / ("dp-" + std::to_string(index));
-            fcfg.budget_bytes = cfg.file_cache_budget;
-            return std::make_unique<chunk::TieredStore>(
-                make_log_store(cfg, index), cfg.ram_cache_budget,
-                std::make_unique<cache::CompressedFileCache>(fcfg));
-        }
-    }
-    throw InvalidArgument("unknown store backend");
 }
 
 /// Read-bump-rewrite the boot counter at \p path (plain decimal file,
@@ -139,9 +104,6 @@ std::unique_ptr<meta::LocalMetaStore> make_meta_store(
     switch (cfg.meta_store) {
         case ClusterConfig::MetaBackend::kRam:
             return std::make_unique<meta::InMemoryMetaStore>();
-        case ClusterConfig::MetaBackend::kDisk:
-            return std::make_unique<meta::DiskMetaStore>(
-                cfg.disk_root / ("mp-" + std::to_string(index)));
         case ClusterConfig::MetaBackend::kLog:
             return std::make_unique<meta::LogMetaStore>(
                 cfg.disk_root / ("mp-" + std::to_string(index)));
@@ -151,6 +113,31 @@ std::unique_ptr<meta::LocalMetaStore> make_meta_store(
 
 }  // namespace
 
+std::unique_ptr<chunk::ChunkStore> make_chunk_store(
+    const ClusterConfig& cfg, const std::string& dir_name) {
+    switch (cfg.store) {
+        case StoreBackend::kRam:
+            return std::make_unique<chunk::RamStore>();
+        case StoreBackend::kLog:
+            return make_log_store(cfg, dir_name);
+        case StoreBackend::kTwoTierLog:
+            return std::make_unique<chunk::TieredStore>(
+                make_log_store(cfg, dir_name), cfg.ram_cache_budget);
+        case StoreBackend::kThreeTierLog: {
+            cache::FileCacheConfig fcfg;
+            const auto root = cfg.file_cache_dir.empty()
+                                  ? cfg.disk_root / "file-cache"
+                                  : cfg.file_cache_dir;
+            fcfg.dir = root / dir_name;
+            fcfg.budget_bytes = cfg.file_cache_budget;
+            return std::make_unique<chunk::TieredStore>(
+                make_log_store(cfg, dir_name), cfg.ram_cache_budget,
+                std::make_unique<cache::CompressedFileCache>(fcfg));
+        }
+    }
+    throw InvalidArgument("unknown store backend");
+}
+
 Cluster::Cluster(ClusterConfig config)
     : config_(config),
       net_(config.network),
@@ -158,8 +145,8 @@ Cluster::Cluster(ClusterConfig config)
     if (needs_uid_epoch(config_)) {
         // Any durable backend means a later boot on this disk_root will
         // re-mint client ids; chunk idempotence then needs disjoint uid
-        // spaces per boot (DiskStore and LogStore both keep the FIRST
-        // bytes put under a key).
+        // spaces per boot (LogStore keeps the FIRST bytes put under a
+        // key).
         std::filesystem::create_directories(config_.disk_root);
         uid_epoch_ = bump_uid_epoch(config_.disk_root / "uid-epoch");
     }
@@ -194,9 +181,10 @@ Cluster::Cluster(ClusterConfig config)
 
     data_providers_.reserve(config_.data_providers);
     for (std::size_t i = 0; i < config_.data_providers; ++i) {
-        const NodeId node = net_.add_node("dp-" + std::to_string(i));
+        const std::string name = "dp-" + std::to_string(i);
+        const NodeId node = net_.add_node(name);
         data_providers_.push_back(std::make_unique<provider::DataProvider>(
-            node, make_store(config_, i)));
+            node, make_chunk_store(config_, name)));
         dp_by_node_[node] = data_providers_.back().get();
         pm_.register_provider(node);
     }

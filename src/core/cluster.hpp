@@ -42,6 +42,12 @@ namespace blobseer::core {
 
 class BlobSeerClient;
 
+/// The chunk store cfg.store selects, rooted at disk_root / \p dir_name
+/// (file cache, if any, at <file-cache root> / \p dir_name). Cluster
+/// passes "dp-<index>", a standalone provider daemon "dp-<name>".
+[[nodiscard]] std::unique_ptr<chunk::ChunkStore> make_chunk_store(
+    const ClusterConfig& cfg, const std::string& dir_name);
+
 class Cluster {
   public:
     explicit Cluster(ClusterConfig config);
@@ -126,8 +132,8 @@ class Cluster {
     // ---- fault injection -----------------------------------------------------
 
     /// Kill data provider \p i. \p lose_volatile additionally wipes its
-    /// RAM contents (RAM-backed stores lose everything; two-tier stores
-    /// only lose the cache).
+    /// RAM contents (RAM-backed stores lose everything; tiered stores
+    /// only lose their caches).
     void kill_data_provider(std::size_t i, bool lose_volatile = false);
     void recover_data_provider(std::size_t i);
 

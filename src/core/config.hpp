@@ -21,10 +21,8 @@ namespace blobseer::core {
 /// Which chunk-store backend data providers run.
 enum class StoreBackend : std::uint8_t {
     kRam,         ///< the paper's initial RAM-only prototype (§IV-A)
-    kDisk,        ///< persistent file-per-chunk storage (§IV-B)
-    kTwoTier,     ///< disk with a RAM cache on top (§IV-B)
-    kLog,         ///< log-structured engine (DESIGN.md §8)
-    kTwoTierLog,  ///< log engine with a RAM cache on top
+    kLog,         ///< persistent log-structured engine (§IV-B, DESIGN.md §8)
+    kTwoTierLog,  ///< log engine with a RAM cache on top (§IV-B)
     /// Log engine with a compressed file-cache middle tier under the RAM
     /// cache (DESIGN.md §14): RAM evictions demote into the file cache,
     /// hits promote back, so working sets well past the RAM budget stay
@@ -69,9 +67,11 @@ struct ClusterConfig {
     std::uint64_t meta_ops_per_second = 0;
 
     StoreBackend store = StoreBackend::kRam;
-    /// Root directory for kDisk/kTwoTier backends.
+    /// Root of every durable backend: chunk logs live under
+    /// disk_root / "dp-<i>" (a standalone provider: "dp-<name>"),
+    /// metadata under "mp-<i>", version-manager journals under "vm-<i>".
     std::filesystem::path disk_root = "/tmp/blobseer-store";
-    /// RAM budget of the two-tier cache per provider (bytes).
+    /// RAM-tier budget of the tiered stores per provider (bytes).
     std::uint64_t ram_cache_budget = 64ULL << 20;
 
     /// kThreeTierLog only: byte budget of the compressed file cache per
@@ -88,11 +88,11 @@ struct ClusterConfig {
     /// deployments keep producing byte-identical v1 files.
     bool compress_cold_segments = false;
 
-    /// Metadata durability: RAM-only (the paper's initial prototype),
-    /// file-per-node with a RAM cache (§IV-B's persistent metadata), or
-    /// the log-structured engine (DESIGN.md §8). Durable metadata lives
-    /// under disk_root / "mp-<i>".
-    enum class MetaBackend : std::uint8_t { kRam, kDisk, kLog };
+    /// Metadata durability: RAM-only (the paper's initial prototype) or
+    /// the log-structured engine with a RAM cache (§IV-B's persistent
+    /// metadata, DESIGN.md §8). Durable metadata lives under
+    /// disk_root / "mp-<i>".
+    enum class MetaBackend : std::uint8_t { kRam, kLog };
     MetaBackend meta_store = MetaBackend::kRam;
 
     /// Persist version-manager state by journaling its operations through

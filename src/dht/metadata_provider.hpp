@@ -25,7 +25,7 @@ namespace blobseer::dht {
 class MetadataProvider {
   public:
     /// \param ops_per_second service capacity; 0 = infinite (unit tests).
-    /// Stores nodes in RAM by default; pass a DiskMetaStore for the
+    /// Stores nodes in RAM by default; pass a LogMetaStore for the
     /// persistent-metadata configuration of paper SIV-B.
     MetadataProvider(NodeId node, std::uint64_t ops_per_second,
                      std::unique_ptr<meta::LocalMetaStore> store =

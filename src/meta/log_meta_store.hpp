@@ -1,16 +1,15 @@
 /// \file log_meta_store.hpp
 /// \brief Persistent metadata node store backed by the log engine.
 ///
-/// Replaces DiskMetaStore's file-per-node layout: tree nodes are tiny
-/// (tens of bytes), so one inode plus a write+rename pair per node is
-/// nearly all overhead. Nodes serialize with the same binary layout as
-/// DiskMetaStore (serialize_node/deserialize_node) and append to an
-/// engine::LogEngine (DESIGN.md §8) keyed by the 32-byte MetaKey
-/// encoding; restart recovery is the engine's checkpoint load instead of
-/// a directory scan. As in DiskMetaStore, every node read or written is
-/// mirrored in a RAM map — the paper keeps the RAM scheme "as an
-/// underlying caching mechanism" — and lose_volatile() drops only that
-/// cache; get() then falls back to the engine.
+/// Paper §IV-B: "We also introduced persistent data and metadata
+/// storage". Tree nodes are tiny (tens of bytes), so they serialize with
+/// a fixed binary layout (serialize_node/deserialize_node below) and
+/// append to an engine::LogEngine (DESIGN.md §8) keyed by the 32-byte
+/// MetaKey encoding; restart recovery is the engine's checkpoint load.
+/// Every node read or written is mirrored in a RAM map — the paper keeps
+/// the RAM scheme "as an underlying caching mechanism" — and
+/// lose_volatile() drops only that cache; get() then falls back to the
+/// engine.
 
 #pragma once
 
@@ -19,11 +18,101 @@
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
+#include "common/buffer.hpp"
+#include "common/error.hpp"
 #include "engine/log_engine.hpp"
-#include "meta/disk_meta_store.hpp"
+#include "meta/meta_store.hpp"
 
 namespace blobseer::meta {
+
+/// Binary node serialization (little-endian, fixed layout).
+[[nodiscard]] inline Buffer serialize_node(const MetaNode& node) {
+    Buffer out;
+    auto put64 = [&out](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            out.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
+        }
+    };
+    auto put32 = [&out](std::uint32_t v) {
+        for (int i = 0; i < 4; ++i) {
+            out.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
+        }
+    };
+    out.push_back(node.is_leaf() ? 1 : 0);
+    // Flags byte (was a zero pad before v5, so old records decode as
+    // flags = 0): bit 0 marks a content-addressed leaf.
+    out.push_back(node.cas ? 1 : 0);
+    out.push_back(0);
+    out.push_back(0);
+    if (node.is_leaf()) {
+        put64(node.chunk_uid);
+        if (node.cas) {
+            put64(node.chunk_uid_hi);
+        }
+        put32(node.chunk_bytes);
+        put32(static_cast<std::uint32_t>(node.replicas.size()));
+        for (const NodeId r : node.replicas) {
+            put32(r);
+        }
+    } else {
+        put64(node.left.blob);
+        put64(node.left.version);
+        put64(node.right.blob);
+        put64(node.right.version);
+    }
+    return out;
+}
+
+[[nodiscard]] inline MetaNode deserialize_node(ConstBytes in) {
+    std::size_t pos = 0;
+    auto get64 = [&in, &pos]() {
+        if (pos + 8 > in.size()) {
+            throw ConsistencyError("truncated metadata node");
+        }
+        std::uint64_t v = 0;
+        for (int i = 0; i < 8; ++i) {
+            v |= static_cast<std::uint64_t>(in[pos++]) << (i * 8);
+        }
+        return v;
+    };
+    auto get32 = [&in, &pos]() {
+        if (pos + 4 > in.size()) {
+            throw ConsistencyError("truncated metadata node");
+        }
+        std::uint32_t v = 0;
+        for (int i = 0; i < 4; ++i) {
+            v |= static_cast<std::uint32_t>(in[pos++]) << (i * 8);
+        }
+        return v;
+    };
+    if (in.empty()) {
+        throw ConsistencyError("empty metadata node");
+    }
+    const bool leaf = in[0] == 1;
+    const bool cas = in.size() > 1 && (in[1] & 1) != 0;
+    pos = 4;
+    MetaNode node;
+    if (leaf) {
+        const std::uint64_t uid = get64();
+        const std::uint64_t hi = cas ? get64() : 0;
+        const std::uint32_t bytes = get32();
+        const std::uint32_t n = get32();
+        std::vector<NodeId> replicas;
+        replicas.reserve(n);
+        for (std::uint32_t i = 0; i < n; ++i) {
+            replicas.push_back(get32());
+        }
+        node = cas ? MetaNode::cas_leaf(std::move(replicas), hi, uid, bytes)
+                   : MetaNode::leaf(std::move(replicas), uid, bytes);
+    } else {
+        ChildRef left{get64(), get64()};
+        ChildRef right{get64(), get64()};
+        node = MetaNode::inner(left, right);
+    }
+    return node;
+}
 
 class LogMetaStore final : public LocalMetaStore {
   public:
@@ -83,8 +172,8 @@ class LogMetaStore final : public LocalMetaStore {
         engine_.remove(encode_key(key));
     }
 
-    /// RAM-tier population (mirrors DiskMetaStore: count of cached nodes,
-    /// which equals the durable count except right after lose_volatile).
+    /// RAM-tier population: count of cached nodes, which equals the
+    /// durable count except right after lose_volatile.
     [[nodiscard]] std::size_t count() const override {
         const std::scoped_lock lock(mu_);
         return cache_.size();

@@ -26,7 +26,7 @@
 #include "cas/sha256.hpp"
 #include "chunk/ram_store.hpp"
 #include "chunk/store.hpp"
-#include "chunk/two_tier_store.hpp"
+#include "chunk/tiered_store.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/stats.hpp"
@@ -346,7 +346,7 @@ class DataProvider {
     }
 
     /// Crash simulation: lose whatever is volatile. A RAM-only store
-    /// loses everything; a two-tier store only loses its cache.
+    /// loses everything; a tiered store only loses its caches.
     void lose_volatile_state() {
         if (auto* ram = dynamic_cast<chunk::RamStore*>(store_.get())) {
             ram->clear();
@@ -354,9 +354,9 @@ class DataProvider {
             inventory_.clear();
             delta_added_.clear();
             delta_removed_.clear();
-        } else if (auto* two =
-                       dynamic_cast<chunk::TwoTierStore*>(store_.get())) {
-            two->drop_cache();
+        } else if (auto* tiered =
+                       dynamic_cast<chunk::TieredStore*>(store_.get())) {
+            tiered->drop_cache();
         }
     }
 

@@ -1,6 +1,7 @@
 #include "rpc/dispatcher.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 
 #include "common/trace.hpp"
@@ -36,6 +37,8 @@ template <class T, class Pick, class... Ops>
 
 constexpr auto kNames =
     per_op<const char*>(OpTable{}, []<class O>() { return O::name; });
+constexpr auto kBlocking =
+    per_op<bool>(OpTable{}, []<class O>() { return O::blocks; });
 
 /// What a chunk-read handler returns in place of a ChunkSlice: the slice
 /// borrowed from store memory, shipped as the response's scatter-gather
@@ -345,6 +348,15 @@ bool known_op(MsgType t) noexcept {
 
 const char* to_string(MsgType t) noexcept {
     return known_op(t) ? kNames[static_cast<std::size_t>(t)] : "?";
+}
+
+bool Dispatcher::blocks_by_design(ConstBytes frame) noexcept {
+    if (frame.size() < kFrameHeaderSize) {
+        return false;
+    }
+    std::uint16_t tag = 0;
+    std::memcpy(&tag, frame.data() + kFrameTypeOffset, sizeof tag);
+    return tag < kBlocking.size() && kBlocking[tag];
 }
 
 Dispatcher::OpTelemetry* Dispatcher::telemetry_for(MsgType type) noexcept {

@@ -171,6 +171,12 @@ class Dispatcher {
     [[nodiscard]] RpcResponse dispatch_sg(ConstBytes frame,
                                           TimePoint received_at) noexcept;
 
+    /// True when \p frame requests an op the table marks kBlocks: its
+    /// handler waits for another request. A transport must not run it
+    /// on a bounded worker pool — enough parked calls would starve the
+    /// very request that wakes them. False for malformed frames.
+    [[nodiscard]] static bool blocks_by_design(ConstBytes frame) noexcept;
+
   private:
     friend struct OpRouter;  // the generated routes (dispatcher.cpp)
 

@@ -3,13 +3,16 @@
 ///
 /// Each entry names an op's MsgType tag, its telemetry name, the service
 /// that serves it and its signature — the response type and the request
-/// fields in wire order. Everything else is generated from the table:
+/// fields in wire order — and, for the few ops whose handler waits on
+/// another request, kBlocks. Everything else is generated from the table:
 ///   * the request and response codecs (messages.hpp walks the types);
 ///   * the client calls, ServiceClient::call<Op> / call_async<Op>;
 ///   * the dispatcher's route, service lookup and fault gate (ops served
 ///     by the Dispatcher itself are control ops, reachable on a node the
 ///     deployment considers down);
-///   * rpc::to_string(MsgType), the label of the per-op metric series.
+///   * rpc::to_string(MsgType), the label of the per-op metric series;
+///   * Dispatcher::blocks_by_design, which keeps blocking ops off a
+///     transport's bounded worker pool.
 ///
 /// Adding an op takes one entry here (plus its line in OpTable) and one
 /// serve() handler in dispatcher.cpp; a missing handler fails to compile.
@@ -44,13 +47,20 @@ struct ChunkSlice {
     std::uint64_t chunk_size = 0;  ///< total stored payload of the chunk
 };
 
-template <MsgType Tag, FixedString Name, class Service, class Signature>
+/// Marks an op whose handler blocks by design until another request
+/// arrives (wait-published parks until the matching commit).
+inline constexpr bool kBlocks = true;
+
+template <MsgType Tag, FixedString Name, class Service, class Signature,
+          bool Blocks = false>
 struct Op;
 
-template <MsgType Tag, FixedString Name, class S, class R, class... Fields>
-struct Op<Tag, Name, S, R(Fields...)> {
+template <MsgType Tag, FixedString Name, class S, bool Blocks, class R,
+          class... Fields>
+struct Op<Tag, Name, S, R(Fields...), Blocks> {
     static constexpr MsgType type = Tag;
     static constexpr const char* name = Name.chars;
+    static constexpr bool blocks = Blocks;
     using Service = S;
     using Request = std::tuple<Fields...>;
     using Response = R;
@@ -107,7 +117,8 @@ using Commit = Op<kCommit, "commit", VersionManager, void(BlobId, Version)>;
 using GetVersion = Op<kGetVersion, "get-version", VersionManager,
                       version::VersionInfo(BlobId, Version)>;
 using WaitPublished = Op<kWaitPublished, "wait-published", VersionManager,
-                         version::VersionInfo(BlobId, Version, u64 ms)>;
+                         version::VersionInfo(BlobId, Version, u64 ms),
+                         kBlocks>;
 using History = Op<kHistory, "history", VersionManager,
                    std::vector<VersionManager::VersionSummary>(
                        BlobId, Version from, Version to)>;

@@ -84,6 +84,8 @@ inline constexpr std::uint32_t kFrameMagic = 0x42535250;  // "PRSB" LE
 /// from any node) and kTraceDump (drain the node's span ring).
 inline constexpr std::uint8_t kWireVersion = 7;
 inline constexpr std::size_t kFrameHeaderSize = 40;
+/// Byte offset of the MsgType tag (u16) within the header.
+inline constexpr std::size_t kFrameTypeOffset = 6;
 /// Byte offset of the correlation id within the header.
 inline constexpr std::size_t kFrameCorrOffset = 16;
 /// Byte offset of the trace context (trace id u64, span id u32, flags

@@ -970,9 +970,7 @@ void TcpRpcServer::handle_frame(const std::shared_ptr<ServerConn>& conn,
     // Requests that block by design must not occupy a pool worker:
     // enough parked wait_published calls would exhaust the pool and
     // stall the very commit frame that wakes them.
-    std::uint16_t tag = 0;
-    std::memcpy(&tag, request.data() + 6, sizeof tag);
-    if (static_cast<MsgType>(tag) == MsgType::kWaitPublished) {
+    if (Dispatcher::blocks_by_design(request)) {
         {
             const std::scoped_lock lock(mu_);
             ++blocking_ops_;

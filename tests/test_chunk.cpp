@@ -1,7 +1,7 @@
 /// \file test_chunk.cpp
-/// \brief Tests of the chunk storage backends: RAM, disk (with restart
-///        recovery), the log-structured store and the two-tier RAM cache
-///        over either durable backend.
+/// \brief Tests of the chunk storage backends: RAM, the log-structured
+///        store (with restart recovery) and the tiered RAM / compressed
+///        file caches over a backend.
 
 #include <gtest/gtest.h>
 
@@ -11,10 +11,9 @@
 #include <thread>
 
 #include "cache/compressed_file_cache.hpp"
-#include "chunk/disk_store.hpp"
 #include "chunk/log_store.hpp"
 #include "chunk/ram_store.hpp"
-#include "chunk/two_tier_store.hpp"
+#include "chunk/tiered_store.hpp"
 #include "common/buffer.hpp"
 
 namespace blobseer::chunk {
@@ -110,65 +109,6 @@ TEST(RamStore, ConcurrentPutsAndGets) {
     EXPECT_EQ(store.count(), 800u);
 }
 
-// ---- DiskStore --------------------------------------------------------------
-
-TEST(DiskStore, PersistsAcrossReopen) {
-    TempDir dir;
-    {
-        DiskStore store(dir.path());
-        store.put({7, 42}, payload(7, 42, 100));
-        EXPECT_EQ(store.count(), 1u);
-    }
-    DiskStore reopened(dir.path());
-    EXPECT_EQ(reopened.count(), 1u);
-    EXPECT_EQ(reopened.bytes(), 100u);
-    const auto got = reopened.get({7, 42});
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(verify_pattern(7, 42, 0, **got), -1);
-}
-
-TEST(DiskStore, EraseRemovesFile) {
-    TempDir dir;
-    DiskStore store(dir.path());
-    store.put({1, 1}, payload(1, 1, 10));
-    store.erase({1, 1});
-    EXPECT_EQ(store.count(), 0u);
-    DiskStore reopened(dir.path());
-    EXPECT_EQ(reopened.count(), 0u);
-}
-
-TEST(DiskStore, MissingKey) {
-    TempDir dir;
-    DiskStore store(dir.path());
-    EXPECT_FALSE(store.get({9, 9}).has_value());
-}
-
-TEST(DiskStore, EmptyChunkAllowed) {
-    TempDir dir;
-    DiskStore store(dir.path());
-    store.put({1, 1}, std::make_shared<Buffer>());
-    const auto got = store.get({1, 1});
-    ASSERT_TRUE(got.has_value());
-    EXPECT_TRUE((*got)->empty());
-}
-
-TEST(DiskStore, SweepsOrphanTmpFilesOnReopen) {
-    TempDir dir;
-    {
-        DiskStore store(dir.path());
-        store.put({3, 3}, payload(3, 3, 20));
-    }
-    // Simulate a crash between write_file and rename: a stranded tmp.
-    const auto orphan = dir.path() / "9_9.chunk.tmp42";
-    std::ofstream(orphan) << "torn half-written chunk";
-    ASSERT_TRUE(std::filesystem::exists(orphan));
-
-    DiskStore reopened(dir.path());
-    EXPECT_FALSE(std::filesystem::exists(orphan));  // swept
-    EXPECT_EQ(reopened.count(), 1u);                // real chunk survives
-    EXPECT_FALSE(reopened.contains({9, 9}));        // orphan never indexed
-}
-
 // ---- LogStore ---------------------------------------------------------------
 
 TEST(LogStore, PutGetRoundTrip) {
@@ -198,6 +138,19 @@ TEST(LogStore, PersistsAcrossReopen) {
     ASSERT_TRUE(got.has_value());
     EXPECT_EQ(verify_pattern(7, 42, 0, **got), -1);
     EXPECT_FALSE(reopened.contains({7, 43}));
+}
+
+TEST(LogStore, EraseIsDurable) {
+    TempDir dir;
+    {
+        LogStore store(dir.path());
+        store.put({1, 1}, payload(1, 1, 10));
+        store.erase({1, 1});
+        EXPECT_EQ(store.count(), 0u);
+    }
+    LogStore reopened(dir.path());
+    EXPECT_EQ(reopened.count(), 0u);
+    EXPECT_FALSE(reopened.get({1, 1}).has_value());
 }
 
 TEST(LogStore, PutIsIdempotent) {
@@ -241,11 +194,11 @@ TEST(LogStore, ConcurrentPutsAndGets) {
     EXPECT_EQ(store.count(), 400u);
 }
 
-// ---- TwoTierStore -----------------------------------------------------------
+// ---- TieredStore (two-tier: RAM over a durable backend) --------------------
 
-TEST(TwoTierStore, WriteThroughAndCacheHit) {
+TEST(TieredStore, WriteThroughAndCacheHit) {
     TempDir dir;
-    TwoTierStore store(std::make_unique<DiskStore>(dir.path()), 1 << 20);
+    TieredStore store(std::make_unique<LogStore>(dir.path()), 1 << 20);
     store.put({1, 1}, payload(1, 1, 100));
     EXPECT_EQ(store.ram_bytes(), 100u);
     (void)store.get({1, 1});
@@ -253,22 +206,24 @@ TEST(TwoTierStore, WriteThroughAndCacheHit) {
     EXPECT_EQ(store.cache_misses(), 0u);
 }
 
-TEST(TwoTierStore, FallsBackToDiskAfterCacheDrop) {
+TEST(TieredStore, FallsBackToDiskAfterCacheDrop) {
     TempDir dir;
-    TwoTierStore store(std::make_unique<DiskStore>(dir.path()), 1 << 20);
+    TieredStore store(std::make_unique<LogStore>(dir.path()), 1 << 20);
     store.put({1, 1}, payload(1, 1, 100));
     store.drop_cache();
     EXPECT_EQ(store.ram_bytes(), 0u);
-    const auto got = store.get({1, 1});
+    const auto got = store.get({1, 1});  // the durable tier serves
     ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(verify_pattern(1, 1, 0, **got), -1);
     EXPECT_EQ(store.cache_misses(), 1u);
+    EXPECT_EQ(store.count(), 1u);
     // Re-populated on the miss path:
     EXPECT_EQ(store.ram_bytes(), 100u);
 }
 
-TEST(TwoTierStore, EvictsLruWithinBudget) {
+TEST(TieredStore, EvictsLruWithinBudget) {
     TempDir dir;
-    TwoTierStore store(std::make_unique<DiskStore>(dir.path()), 256);
+    TieredStore store(std::make_unique<LogStore>(dir.path()), 256);
     for (std::uint64_t i = 0; i < 8; ++i) {
         store.put({1, i}, payload(1, i, 64));
     }
@@ -280,9 +235,9 @@ TEST(TwoTierStore, EvictsLruWithinBudget) {
     }
 }
 
-TEST(TwoTierStore, LruKeepsHotEntry) {
+TEST(TieredStore, LruKeepsHotEntry) {
     TempDir dir;
-    TwoTierStore store(std::make_unique<DiskStore>(dir.path()), 192);
+    TieredStore store(std::make_unique<LogStore>(dir.path()), 192);
     store.put({1, 0}, payload(1, 0, 64));
     store.put({1, 1}, payload(1, 1, 64));
     store.put({1, 2}, payload(1, 2, 64));
@@ -296,9 +251,9 @@ TEST(TwoTierStore, LruKeepsHotEntry) {
     EXPECT_EQ(store.cache_misses(), misses_before + 1);  // was evicted
 }
 
-TEST(TwoTierStore, EraseDropsBothTiers) {
+TEST(TieredStore, EraseDropsBothTiers) {
     TempDir dir;
-    TwoTierStore store(std::make_unique<DiskStore>(dir.path()), 1 << 20);
+    TieredStore store(std::make_unique<LogStore>(dir.path()), 1 << 20);
     store.put({1, 1}, payload(1, 1, 50));
     store.erase({1, 1});
     EXPECT_FALSE(store.get({1, 1}).has_value());
@@ -306,9 +261,9 @@ TEST(TwoTierStore, EraseDropsBothTiers) {
     EXPECT_EQ(store.count(), 0u);
 }
 
-TEST(TwoTierStore, EvictionCounterAndByteBudget) {
+TEST(TieredStore, EvictionCounterAndByteBudget) {
     TempDir dir;
-    TwoTierStore store(std::make_unique<DiskStore>(dir.path()), 256);
+    TieredStore store(std::make_unique<LogStore>(dir.path()), 256);
     for (std::uint64_t i = 0; i < 8; ++i) {
         store.put({1, i}, payload(1, i, 64));
     }
@@ -319,9 +274,9 @@ TEST(TwoTierStore, EvictionCounterAndByteBudget) {
     EXPECT_EQ(store.count(), 8u);  // backend keeps everything
 }
 
-TEST(TwoTierStore, RepopulatesFromBackendAfterEviction) {
+TEST(TieredStore, RepopulatesFromBackendAfterEviction) {
     TempDir dir;
-    TwoTierStore store(std::make_unique<DiskStore>(dir.path()), 128);
+    TieredStore store(std::make_unique<LogStore>(dir.path()), 128);
     store.put({1, 0}, payload(1, 0, 64));
     store.put({1, 1}, payload(1, 1, 64));
     store.put({1, 2}, payload(1, 2, 64));  // evicts {1,0}
@@ -335,9 +290,9 @@ TEST(TwoTierStore, RepopulatesFromBackendAfterEviction) {
     EXPECT_EQ(store.cache_hits(), hits_before + 1);
 }
 
-TEST(TwoTierStore, StatsConsistentUnderConcurrentGetPut) {
+TEST(TieredStore, StatsConsistentUnderConcurrentGetPut) {
     TempDir dir;
-    TwoTierStore store(std::make_unique<DiskStore>(dir.path()), 4096);
+    TieredStore store(std::make_unique<LogStore>(dir.path()), 4096);
     constexpr int kThreads = 4;
     constexpr std::uint64_t kOps = 200;
     std::atomic<std::uint64_t> gets{0};
@@ -364,24 +319,12 @@ TEST(TwoTierStore, StatsConsistentUnderConcurrentGetPut) {
     EXPECT_EQ(store.count(), 64u);
 }
 
-TEST(TwoTierStore, WorksOverLogStoreBackend) {
-    TempDir dir;
-    TwoTierStore store(std::make_unique<LogStore>(dir.path()), 1 << 20);
-    store.put({5, 1}, payload(5, 1, 100));
-    store.drop_cache();  // volatile-loss crash: durable tier serves
-    const auto got = store.get({5, 1});
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(verify_pattern(5, 1, 0, **got), -1);
-    EXPECT_EQ(store.cache_misses(), 1u);
-    EXPECT_EQ(store.count(), 1u);
-}
-
 // Regression: cache_insert used to early-return when the key was already
 // resident, so a re-put neither replaced the cached data nor refreshed
 // the entry's recency — the RAM tier kept serving the old buffer and
 // ram_bytes went stale when sizes differed.
-TEST(TwoTierStore, RePutRefreshesCachedDataAndBytes) {
-    TwoTierStore store(std::make_unique<RamStore>(), 1 << 20);
+TEST(TieredStore, RePutRefreshesCachedDataAndBytes) {
+    TieredStore store(std::make_unique<RamStore>(), 1 << 20);
     store.put({1, 1}, payload(1, 1, 100));
     EXPECT_EQ(store.ram_bytes(), 100u);
 
@@ -394,9 +337,9 @@ TEST(TwoTierStore, RePutRefreshesCachedDataAndBytes) {
     EXPECT_EQ(got->get(), fresh.get());
 }
 
-TEST(TwoTierStore, RePutRefreshesLruRecency) {
+TEST(TieredStore, RePutRefreshesLruRecency) {
     // Budget fits exactly two 100-byte entries.
-    TwoTierStore store(std::make_unique<RamStore>(), 200);
+    TieredStore store(std::make_unique<RamStore>(), 200);
     store.put({1, 1}, payload(1, 1, 100));
     store.put({1, 2}, payload(1, 2, 100));
     // Re-put of {1,1} must make it most-recent, so inserting a third

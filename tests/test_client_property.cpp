@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
 
+#include "chunk/tiered_store.hpp"
 #include "common/random.hpp"
 #include "testing_util.hpp"
 
@@ -107,17 +109,22 @@ TEST_P(FullStackProperty, RandomOpsMatchModel) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FullStackProperty,
                          ::testing::Range<std::uint64_t>(1, 9));
 
-/// Same check with replication and a two-tier (disk-backed) store: the
-/// data path must be byte-identical regardless of backend.
-class BackendProperty : public ::testing::TestWithParam<std::uint64_t> {};
+/// Same check with replication and a tiered, log-backed store whose
+/// caches are small enough to evict: the data path must be
+/// byte-identical regardless of backend.
+using BackendParam = std::tuple<std::uint64_t, StoreBackend>;
+class BackendProperty : public ::testing::TestWithParam<BackendParam> {};
 
 TEST_P(BackendProperty, DiskBackedMatchesModel) {
-    Rng rng(GetParam() * 1009);
+    const auto [seed, backend] = GetParam();
+    Rng rng(seed * 1009);
     auto cfg = blobseer::testing::fast_config();
-    cfg.store = StoreBackend::kTwoTier;
-    cfg.ram_cache_budget = 4 * kChunk;  // force evictions
+    cfg.store = backend;
+    cfg.ram_cache_budget = 4 * kChunk;   // force evictions
+    cfg.file_cache_budget = 4 * kChunk;  // three-tier: the file cache too
     cfg.disk_root = std::filesystem::temp_directory_path() /
-                    ("blobseer-prop-" + std::to_string(GetParam()) + "-" +
+                    ("blobseer-prop-" + std::to_string(seed) + "-" +
+                     std::to_string(static_cast<int>(backend)) + "-" +
                      std::to_string(::getpid()));
     std::filesystem::remove_all(cfg.disk_root);
     cfg.default_replication = 2;
@@ -142,12 +149,31 @@ TEST_P(BackendProperty, DiskBackedMatchesModel) {
             ASSERT_EQ(blob.read(v, 0, got), got.size());
             ASSERT_EQ(got, model[v - 1]) << "version " << v;
         }
+
+        // The budgets really did push entries out of every cache tier.
+        std::uint64_t ram_evictions = 0;
+        std::uint64_t file_evictions = 0;
+        for (std::size_t i = 0; i < cluster.data_provider_count(); ++i) {
+            auto& tiered = dynamic_cast<chunk::TieredStore&>(
+                cluster.data_provider(i).store());
+            ram_evictions += tiered.cache_evictions();
+            if (tiered.file_cache() != nullptr) {
+                file_evictions += tiered.file_cache()->evictions();
+            }
+        }
+        EXPECT_GT(ram_evictions, 0u);
+        if (backend == StoreBackend::kThreeTierLog) {
+            EXPECT_GT(file_evictions, 0u);
+        }
     }
     std::filesystem::remove_all(cfg.disk_root);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, BackendProperty,
-                         ::testing::Range<std::uint64_t>(1, 5));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, BackendProperty,
+    ::testing::Combine(::testing::Range<std::uint64_t>(1, 5),
+                       ::testing::Values(StoreBackend::kTwoTierLog,
+                                         StoreBackend::kThreeTierLog)));
 
 /// Chunk-size sweep, including odd (non-power-of-two) chunk sizes: only
 /// slot *counts* must be powers of two; the chunk size itself is free

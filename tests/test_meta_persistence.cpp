@@ -1,6 +1,6 @@
 /// \file test_meta_persistence.cpp
 /// \brief Tests of the persistent metadata path (§IV-B): node
-///        serialization, the disk and log store recovery semantics, and
+///        serialization, the log store's recovery semantics, and
 ///        end-to-end clusters whose metadata — and, with the log engine,
 ///        whose entire state — survives crashes and full restarts.
 
@@ -11,7 +11,6 @@
 #include <string>
 
 #include "engine/log_engine.hpp"
-#include "meta/disk_meta_store.hpp"
 #include "meta/log_meta_store.hpp"
 #include "testing_util.hpp"
 #include "version/version_manager.hpp"
@@ -112,48 +111,6 @@ TEST(NodeSerialization, GoldenBytes) {
 
 MetaKey key_of(std::uint64_t i) { return MetaKey{9, 3, {i * 2, 2}}; }
 
-TEST(DiskMetaStore, PersistsAcrossReopen) {
-    TempDir dir;
-    {
-        DiskMetaStore store(dir.path());
-        store.put(key_of(1), MetaNode::inner({1, 1}, {1, 2}));
-        store.put(key_of(2), MetaNode::leaf({5}, 77, 64));
-        EXPECT_EQ(store.count(), 2u);
-    }
-    DiskMetaStore reopened(dir.path());
-    EXPECT_EQ(reopened.count(), 2u);
-    EXPECT_EQ(reopened.get(key_of(1)).left.version, 1u);
-    EXPECT_EQ(reopened.get(key_of(2)).chunk_uid, 77u);
-}
-
-TEST(DiskMetaStore, VolatileLossFallsBackToDisk) {
-    TempDir dir;
-    DiskMetaStore store(dir.path());
-    store.put(key_of(1), MetaNode::leaf({5}, 123, 64));
-    store.lose_volatile();
-    EXPECT_EQ(store.count(), 0u);  // RAM tier empty...
-    EXPECT_EQ(store.get(key_of(1)).chunk_uid, 123u);  // ...disk serves
-    EXPECT_EQ(store.count(), 1u);  // and re-populates
-}
-
-TEST(DiskMetaStore, EraseRemovesFile) {
-    TempDir dir;
-    DiskMetaStore store(dir.path());
-    store.put(key_of(1), MetaNode::inner({}, {}));
-    store.erase(key_of(1));
-    EXPECT_FALSE(store.try_get(key_of(1)).has_value());
-    DiskMetaStore reopened(dir.path());
-    EXPECT_EQ(reopened.count(), 0u);
-}
-
-TEST(DiskMetaStore, IdempotentPut) {
-    TempDir dir;
-    DiskMetaStore store(dir.path());
-    store.put(key_of(1), MetaNode::leaf({1}, 5, 8));
-    store.put(key_of(1), MetaNode::leaf({1}, 5, 8));
-    EXPECT_EQ(store.count(), 1u);
-}
-
 // ---- LogMetaStore -----------------------------------------------------------
 
 TEST(LogMetaStore, PersistsAcrossReopen) {
@@ -209,10 +166,10 @@ TEST(LogMetaStore, IdempotentPut) {
     EXPECT_EQ(store.engine().stats().appends, 1u);
 }
 
-TEST(ClusterMetaPersistence, MetadataSurvivesVolatileCrash) {
+TEST(ClusterLogPersistence, MetadataSurvivesVolatileCrash) {
     TempDir dir;
     auto cfg = blobseer::testing::fast_config();
-    cfg.meta_store = core::ClusterConfig::MetaBackend::kDisk;
+    cfg.meta_store = core::ClusterConfig::MetaBackend::kLog;
     cfg.disk_root = dir.path();
     cfg.meta_replication = 1;  // no DHT replica to hide behind
     core::Cluster cluster(cfg);
@@ -223,35 +180,13 @@ TEST(ClusterMetaPersistence, MetadataSurvivesVolatileCrash) {
 
     // Crash every metadata provider, losing all volatile state. With
     // RAM-backed metadata this kills the blob (see
-    // Fault.MetadataLossWithoutReplicationBreaksReads); with disk-backed
-    // metadata reads recover from the files.
+    // Fault.MetadataLossWithoutReplicationBreaksReads); with log-backed
+    // metadata reads recover from the engine.
     for (std::size_t i = 0; i < cluster.metadata_provider_count(); ++i) {
         cluster.metadata_provider(i).lose_state();
     }
 
     auto reader = cluster.make_client();  // cold cache: must hit providers
-    Buffer out(data.size());
-    EXPECT_EQ(reader->read(blob.id(), 1, 0, out), data.size());
-    EXPECT_EQ(out, data);
-}
-
-TEST(ClusterLogPersistence, MetadataSurvivesVolatileCrash) {
-    TempDir dir;
-    auto cfg = blobseer::testing::fast_config();
-    cfg.meta_store = core::ClusterConfig::MetaBackend::kLog;
-    cfg.disk_root = dir.path();
-    cfg.meta_replication = 1;
-    core::Cluster cluster(cfg);
-    auto client = cluster.make_client();
-    core::Blob blob = client->create(64);
-    const Buffer data = make_pattern(blob.id(), 1, 0, 64 * 16);
-    blob.write(0, data);
-
-    for (std::size_t i = 0; i < cluster.metadata_provider_count(); ++i) {
-        cluster.metadata_provider(i).lose_state();
-    }
-
-    auto reader = cluster.make_client();
     Buffer out(data.size());
     EXPECT_EQ(reader->read(blob.id(), 1, 0, out), data.size());
     EXPECT_EQ(out, data);

@@ -440,6 +440,50 @@ TEST_P(TransportConformance, StopMidFlightFailsEveryOutstandingFuture) {
     }
 }
 
+TEST_P(TransportConformance, ParkedWaitersDoNotStarveTheCommit) {
+    if (is_sim()) {
+        GTEST_SKIP() << "worker pools are a TCP server feature";
+    }
+    // One pool worker and more parked wait_published calls than
+    // workers. Were the waiters queued on the pool, the commit that
+    // wakes them would sit behind them until each one timed out.
+    TcpRpcServer::Options opts;
+    opts.bind_addr = "127.0.0.1";
+    opts.workers = 1;
+    TcpRpcServer server(cluster_->dispatcher(), std::move(opts));
+    TcpTransport waiter_conn("127.0.0.1", server.port());
+    TcpTransport writer_conn("127.0.0.1", server.port());
+    ServiceClient waiter(waiter_conn, cluster_->version_manager_nodes(),
+                         cluster_->provider_manager_node());
+    ServiceClient writer(writer_conn, cluster_->version_manager_nodes(),
+                         cluster_->provider_manager_node());
+
+    const auto info = writer.create_blob(4096, 1);
+    const auto ar = writer.assign(info.id, std::nullopt, 4096);
+
+    constexpr std::uint64_t kTimeoutMs = 5'000;
+    const NodeId vm = cluster_->version_manager_node();
+    std::vector<Future<version::VersionInfo>> waiters;
+    for (int i = 0; i < 4; ++i) {
+        waiters.push_back(waiter.call_async<op::WaitPublished>(
+            vm, info.id, ar.version, kTimeoutMs));
+    }
+    // Let the waiters reach the server and park in their handlers.
+    std::this_thread::sleep_for(milliseconds(200));
+    for (const auto& w : waiters) {
+        EXPECT_FALSE(w.ready());
+    }
+
+    const auto start = Clock::now();
+    writer.commit(info.id, ar.version);
+    for (auto& w : waiters) {
+        const auto published = w.get();
+        EXPECT_EQ(published.version, ar.version);
+        EXPECT_EQ(published.status, version::VersionStatus::kPublished);
+    }
+    EXPECT_LT(Clock::now() - start, milliseconds(kTimeoutMs / 4));
+}
+
 TEST_P(TransportConformance, StoppedServerSurfacesAsRpcError) {
     if (is_sim()) {
         GTEST_SKIP() << "connection loss is a TCP feature";

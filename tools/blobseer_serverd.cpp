@@ -29,11 +29,6 @@
 #include <string>
 #include <thread>
 
-#include "cache/compressed_file_cache.hpp"
-#include "chunk/disk_store.hpp"
-#include "chunk/log_store.hpp"
-#include "chunk/ram_store.hpp"
-#include "chunk/two_tier_store.hpp"
 #include "common/logging.hpp"
 #include "core/cluster.hpp"
 #include "net/metrics_http.hpp"
@@ -56,11 +51,11 @@ void usage(const char* argv0) {
         "                        (background sweep; default 0 = off)\n"
         "  --replication <n>     default chunk replication (default 2)\n"
         "  --meta-replication <n> metadata replication (default 1)\n"
-        "  --store <ram|disk|two-tier|log|two-tier-log|three-tier-log>\n"
+        "  --store <ram|log|two-tier-log|three-tier-log>\n"
         "                        chunk store backend (default ram);\n"
-        "                        three-tier-log adds a compressed file\n"
-        "                        cache between the RAM tier and the log\n"
-        "                        engine\n"
+        "                        two-tier-log puts a RAM cache over the\n"
+        "                        log engine, three-tier-log adds a\n"
+        "                        compressed file cache between the two\n"
         "  --ram-cache-mb <n>    RAM cache budget per provider in MiB\n"
         "                        (tiered stores; default 64)\n"
         "  --file-cache-mb <n>   compressed file-cache budget per\n"
@@ -70,13 +65,13 @@ void usage(const char* argv0) {
         "                        caches (default: <disk-root>/file-cache;\n"
         "                        disposable, safe on tmpfs)\n"
         "  --compress-cold       recompress cold records at compaction\n"
-        "                        time (log-family stores; engine files\n"
+        "                        time (durable stores; engine files\n"
         "                        become format v2)\n"
         "  --cas                 content-addressed chunks: dedup by\n"
         "                        SHA-256, check-before-push, refcounted GC\n"
-        "  --meta-store <ram|disk|log>  metadata backend (default ram;\n"
-        "                        log when --store is log-family)\n"
-        "  --disk-root <path>    root for disk-backed stores\n"
+        "  --meta-store <ram|log>  metadata backend (default ram;\n"
+        "                        log when --store is not ram)\n"
+        "  --disk-root <path>    root for durable stores\n"
         "  --sim-latency-us <n>  simulated intra-daemon latency (default 0)\n"
         "  --workers <n>         RPC dispatch worker threads (default:\n"
         "                        hardware-sized; min 4)\n"
@@ -106,44 +101,6 @@ void usage(const char* argv0) {
         "  --beat-interval-ms <n> heartbeat period (default 500)\n"
         "  --help\n",
         argv0);
-}
-
-std::unique_ptr<chunk::ChunkStore> make_provider_store(
-    const core::ClusterConfig& cfg, const std::string& name) {
-    const auto root = cfg.disk_root / ("dp-" + name);
-    const auto make_log = [&] {
-        engine::EngineConfig ecfg;
-        ecfg.dir = root;
-        ecfg.compress_on_compact = cfg.compress_cold_segments;
-        return std::make_unique<chunk::LogStore>(std::move(ecfg));
-    };
-    switch (cfg.store) {
-        case core::StoreBackend::kRam:
-            return std::make_unique<chunk::RamStore>();
-        case core::StoreBackend::kDisk:
-            return std::make_unique<chunk::DiskStore>(root);
-        case core::StoreBackend::kTwoTier:
-            return std::make_unique<chunk::TwoTierStore>(
-                std::make_unique<chunk::DiskStore>(root),
-                cfg.ram_cache_budget);
-        case core::StoreBackend::kLog:
-            return make_log();
-        case core::StoreBackend::kTwoTierLog:
-            return std::make_unique<chunk::TieredStore>(
-                make_log(), cfg.ram_cache_budget);
-        case core::StoreBackend::kThreeTierLog: {
-            cache::FileCacheConfig fcfg;
-            const auto cache_root = cfg.file_cache_dir.empty()
-                                        ? cfg.disk_root / "file-cache"
-                                        : cfg.file_cache_dir;
-            fcfg.dir = cache_root / ("dp-" + name);
-            fcfg.budget_bytes = cfg.file_cache_budget;
-            return std::make_unique<chunk::TieredStore>(
-                make_log(), cfg.ram_cache_budget,
-                std::make_unique<cache::CompressedFileCache>(fcfg));
-        }
-    }
-    throw InvalidArgument("unknown store backend");
 }
 
 /// Standalone data-provider daemon: join the manager by name, serve the
@@ -187,7 +144,8 @@ int run_provider(const core::ClusterConfig& cfg, const std::string& join,
                            topo.client_id);
 
     const auto joined = svc.provider_join(name);
-    provider::DataProvider dp(joined.node, make_provider_store(cfg, name));
+    provider::DataProvider dp(joined.node,
+                              core::make_chunk_store(cfg, "dp-" + name));
 
     rpc::Dispatcher dispatcher;
     dispatcher.add_data_provider(joined.node, &dp);
@@ -333,10 +291,6 @@ int main(int argc, char** argv) {
             const std::string s = next();
             if (s == "ram") {
                 cfg.store = core::StoreBackend::kRam;
-            } else if (s == "disk") {
-                cfg.store = core::StoreBackend::kDisk;
-            } else if (s == "two-tier") {
-                cfg.store = core::StoreBackend::kTwoTier;
             } else if (s == "log") {
                 cfg.store = core::StoreBackend::kLog;
             } else if (s == "two-tier-log") {
@@ -352,8 +306,6 @@ int main(int argc, char** argv) {
             const std::string s = next();
             if (s == "ram") {
                 cfg.meta_store = core::ClusterConfig::MetaBackend::kRam;
-            } else if (s == "disk") {
-                cfg.meta_store = core::ClusterConfig::MetaBackend::kDisk;
             } else if (s == "log") {
                 cfg.meta_store = core::ClusterConfig::MetaBackend::kLog;
             } else {
@@ -420,12 +372,10 @@ int main(int argc, char** argv) {
         }
     }
 
-    // A log-family chunk store makes the whole daemon restartable: default
+    // A durable chunk store makes the whole daemon restartable: default
     // metadata onto the same engine and journal the version manager so a
     // restart on the same --disk-root serves every published blob again.
-    if (cfg.store == core::StoreBackend::kLog ||
-        cfg.store == core::StoreBackend::kTwoTierLog ||
-        cfg.store == core::StoreBackend::kThreeTierLog) {
+    if (cfg.store != core::StoreBackend::kRam) {
         if (!meta_store_set) {
             cfg.meta_store = core::ClusterConfig::MetaBackend::kLog;
         }
