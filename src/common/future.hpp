@@ -9,6 +9,8 @@
 ///
 ///  * Promise<T>::set_value / set_exception, single-shot;
 ///  * Future<T>::get() (blocking, move-out, rethrow), wait(), ready();
+///  * settle(promise, fn) — fulfil a promise from fn's result or
+///    exception;
 ///  * Future<T>::on_ready(fn) — run fn on the completing thread (or
 ///    inline when already complete); used only for lightweight work
 ///    such as decoding a frame or notifying a window;
@@ -95,7 +97,13 @@ class FutureState {
         std::unique_lock lock(mu_);
         cv_.wait(lock, [this] { return ready_; });
         if (error_ != nullptr) {
-            std::rethrow_exception(error_);
+            // The consumer takes the state's reference: whichever thread
+            // drops the state last must not be the one that destroys an
+            // exception this thread is reading (the exception's refcount
+            // lives in the runtime, where no race detector sees it).
+            const std::exception_ptr error = std::exchange(error_, nullptr);
+            lock.unlock();
+            std::rethrow_exception(error);
         }
         if (!value_.has_value()) {
             throw Error("future value already consumed");
@@ -238,6 +246,27 @@ class Promise {
     std::shared_ptr<detail::FutureState<S>> state_;
 };
 
+/// Fulfil \p promise with the result of \p produce(), or with the
+/// exception it throws. The promise is settled after the catch block has
+/// ended, so this thread holds no reference to the exception once a
+/// waiter can see it; the waiter's get() then owns it alone.
+template <typename T, typename F>
+void settle(Promise<T>& promise, F&& produce) {
+    std::exception_ptr error;
+    try {
+        if constexpr (std::is_void_v<T>) {
+            produce();
+            promise.set_value();
+        } else {
+            promise.set_value(produce());
+        }
+        return;
+    } catch (...) {
+        error = std::current_exception();
+    }
+    promise.set_exception(std::move(error));
+}
+
 /// Adapter: a Future<T> fulfilled by running \p fn on \p src's value the
 /// moment \p src completes (on the completing thread). An exception from
 /// \p fn — or from \p src itself — becomes the result's exception. This
@@ -249,16 +278,7 @@ template <typename T, typename U, typename F>
     Future<T> out = promise->future();
     Future<U> watched = src;  // keep a handle the callback can consume
     src.on_ready([watched, promise, fn = std::move(fn)]() mutable {
-        try {
-            if constexpr (std::is_void_v<T>) {
-                fn(watched.get());
-                promise->set_value();
-            } else {
-                promise->set_value(fn(watched.get()));
-            }
-        } catch (...) {
-            promise->set_exception(std::current_exception());
-        }
+        settle(*promise, [&] { return fn(watched.get()); });
     });
     return out;
 }

@@ -372,11 +372,7 @@ class BlobSeerClient {
         auto promise = std::make_shared<Promise<T>>();
         Future<T> fut = promise->future();
         io_pool_.post([promise, fn = std::move(fn)]() mutable {
-            try {
-                promise->set_value(fn());
-            } catch (...) {
-                promise->set_exception(std::current_exception());
-            }
+            settle(*promise, fn);
         });
         return fut;
     }

@@ -2,9 +2,10 @@
 /// \brief Client-side view of the metadata DHT.
 ///
 /// Implements meta::MetaStore over the metadata providers: each node key
-/// is consistent-hashed to its owners; puts go to every replica, gets try
-/// owners in order and fail over on provider death. Every operation is a
-/// real encode → transport → decode round trip (rpc::ServiceClient), so
+/// is consistent-hashed to its owners; puts go to every replica (one
+/// request per owner for a whole batch), gets try owners in order and
+/// fail over on provider death. Every operation is a real encode →
+/// transport → decode round trip (rpc::ServiceClient), so
 /// the metadata traffic the tree algorithms generate is charged at its
 /// actual serialized size under SimTransport and travels real sockets
 /// under TcpTransport.
@@ -15,7 +16,10 @@
 
 #pragma once
 
+#include <algorithm>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -39,15 +43,47 @@ class MetaDht final : public meta::MetaStore {
           replication_(replication == 0 ? 1 : replication) {}
 
     void put(const meta::MetaKey& key, const meta::MetaNode& node) override {
-        const auto owners = ring_.owners(key.hash(), replication_);
-        // All replica copies travel concurrently — a replicated put
-        // costs one round trip, not replication_ of them.
-        std::vector<Future<void>> puts;
-        puts.reserve(owners.size());
-        std::size_t ok = 0;
-        for (const NodeId owner : owners) {
+        const meta::KeyedNode one{key, node};
+        put_all({&one, 1});
+    }
+
+    /// One meta-put per owner, carrying every node of the batch that
+    /// owner stores, with all owners in flight at once: a write's whole
+    /// tree costs one round trip, not one per node. A node counts as
+    /// stored once any of its owners acknowledged its batch (a dead
+    /// replica target is tolerable as long as one copy lands; readers
+    /// fail over the same way). Throws RpcError when some node has no
+    /// acknowledging owner.
+    void put_all(std::span<const meta::KeyedNode> nodes) override {
+        struct Batch {
+            NodeId owner;
+            std::vector<meta::KeyedNode> nodes;
+            bool acked = false;
+        };
+        std::vector<Batch> batches;
+        // homes[i]: the batches that carry nodes[i].
+        std::vector<std::vector<std::size_t>> homes(nodes.size());
+        for (std::size_t i = 0; i < nodes.size(); ++i) {
+            for (const NodeId owner :
+                 ring_.owners(nodes[i].first.hash(), replication_)) {
+                std::size_t b = 0;
+                while (b < batches.size() && batches[b].owner != owner) {
+                    ++b;
+                }
+                if (b == batches.size()) {
+                    batches.push_back({owner, {}, false});
+                }
+                batches[b].nodes.push_back(nodes[i]);
+                homes[i].push_back(b);
+            }
+        }
+
+        std::vector<std::pair<std::size_t, Future<void>>> sent;
+        sent.reserve(batches.size());
+        for (std::size_t b = 0; b < batches.size(); ++b) {
             try {
-                puts.push_back(svc_.meta_put_async(owner, key, node));
+                sent.emplace_back(b, svc_.meta_put_async(batches[b].owner,
+                                                         batches[b].nodes));
             } catch (const RpcError& e) {
                 // call_async can fail synchronously (connection
                 // refused): same per-replica tolerance as an async
@@ -56,21 +92,22 @@ class MetaDht final : public meta::MetaStore {
                                           e.what());
             }
         }
-        for (auto& fut : puts) {
+        for (auto& [b, fut] : sent) {
             try {
                 fut.get();
-                ++ok;
+                batches[b].acked = true;
             } catch (const RpcError& e) {
-                // A dead replica target is tolerable as long as one copy
-                // lands; readers fail over the same way.
                 log_debug("meta-dht", std::string("put replica failed: ") +
                                           e.what());
             }
         }
-        puts_.add();
-        if (ok == 0) {
-            throw RpcError("no metadata replica stored for " +
-                           key.to_string());
+        puts_.add(nodes.size());
+        for (std::size_t i = 0; i < nodes.size(); ++i) {
+            if (std::none_of(homes[i].begin(), homes[i].end(),
+                             [&](std::size_t b) { return batches[b].acked; })) {
+                throw RpcError("no metadata replica stored for " +
+                               nodes[i].first.to_string());
+            }
         }
     }
 

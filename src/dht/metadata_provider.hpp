@@ -76,8 +76,8 @@ class MetadataProvider {
     }
 
     /// Crash simulation: volatile state is lost (everything for a RAM
-    /// store; only the cache for a disk store — reads then fall back to
-    /// the surviving files or to DHT replicas).
+    /// store, nothing for a log store — reads then come from the
+    /// surviving log or from DHT replicas).
     void lose_state() { store_->lose_volatile(); }
 
     [[nodiscard]] std::size_t stored_nodes() const { return store_->count(); }

@@ -457,18 +457,22 @@ void LogEngine::validate_kv(std::string_view key, ConstBytes value) {
 
 void LogEngine::put(std::string_view key, ConstBytes value) {
     validate_kv(key, value);
+    // Copy and CRC the (up to chunk-sized) value before taking mu_, so
+    // concurrent puts serialize only on the append itself.
+    const Buffer rec = encode_record(RecordType::kPut, key, value);
     const std::scoped_lock lock(mu_);
-    append_locked(RecordType::kPut, key, value);
+    append_record_locked(RecordType::kPut, key, value.size(), rec);
     appends_.add();
 }
 
 bool LogEngine::put_if_absent(std::string_view key, ConstBytes value) {
     validate_kv(key, value);
+    const Buffer rec = encode_record(RecordType::kPut, key, value);
     const std::scoped_lock lock(mu_);
     if (index_.contains(key)) {
         return false;
     }
-    append_locked(RecordType::kPut, key, value);
+    append_record_locked(RecordType::kPut, key, value.size(), rec);
     appends_.add();
     return true;
 }
@@ -648,7 +652,7 @@ bool LogEngine::remove(std::string_view key) {
     return true;
 }
 
-std::size_t LogEngine::count() {
+std::size_t LogEngine::count() const {
     const std::scoped_lock lock(mu_);
     return index_.size();
 }
@@ -662,17 +666,23 @@ std::uint64_t LogEngine::live_value_bytes() {
 
 void LogEngine::append_locked(RecordType type, std::string_view key,
                               ConstBytes value) {
-    const Buffer rec = encode_record(type, key, value);
+    append_record_locked(type, key, value.size(),
+                         encode_record(type, key, value));
+}
+
+void LogEngine::append_record_locked(RecordType type, std::string_view key,
+                                     std::size_t vlen, const Buffer& rec) {
     Segment& active = segments_.at(active_id_);
     const std::uint64_t offset = active.file->append(rec);
     if (cfg_.fsync_appends) {
         active.file->sync();
     }
 
+    const auto value_len = static_cast<std::uint32_t>(vlen);
     const bool overwrote = apply_record_locked(
-        type, key, static_cast<std::uint32_t>(value.size()),
+        type, key, value_len,
         Location{active_id_, offset, static_cast<std::uint32_t>(key.size()),
-                 static_cast<std::uint32_t>(value.size())});
+                 value_len});
     if (overwrote) {
         overwrites_.add();
     }

@@ -229,7 +229,7 @@ class LogEngine {
     bool remove(std::string_view key);
 
     /// Live keys.
-    [[nodiscard]] std::size_t count();
+    [[nodiscard]] std::size_t count() const;
 
     /// Payload bytes of live records.
     [[nodiscard]] std::uint64_t live_value_bytes();
@@ -330,9 +330,14 @@ class LogEngine {
                                             SegmentFile& file,
                                             std::string_view key);
 
-    // Append path (callers hold mu_).
+    // Append path (callers hold mu_). append_locked encodes the record
+    // under the lock (compaction, tombstones); the put path encodes it
+    // before locking and hands the finished record to
+    // append_record_locked.
     void append_locked(RecordType type, std::string_view key,
                        ConstBytes value);
+    void append_record_locked(RecordType type, std::string_view key,
+                              std::size_t vlen, const Buffer& rec);
     void open_fresh_segment_locked(std::uint64_t id);
     void roll_segment_if_needed_locked();
     void account_dead_put_locked(const Location& loc);
@@ -377,7 +382,8 @@ class LogEngine {
         return cfg_.compress_on_compact ? kFormatVersion : kMinFormatVersion;
     }
 
-    std::mutex mu_;  // guards index_, segments_, gauges, scheduling flags
+    // Guards index_, segments_, gauges and scheduling flags.
+    mutable std::mutex mu_;
     KeyMap index_;
     /// Current tombstone of each removed key. Needed so compaction can
     /// tell a tombstone that still shadows stale puts (relocate it) from

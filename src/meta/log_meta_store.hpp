@@ -6,17 +6,17 @@
 /// a fixed binary layout (serialize_node/deserialize_node below) and
 /// append to an engine::LogEngine (DESIGN.md §8) keyed by the 32-byte
 /// MetaKey encoding; restart recovery is the engine's checkpoint load.
-/// Every node read or written is mirrored in a RAM map — the paper keeps
-/// the RAM scheme "as an underlying caching mechanism" — and
-/// lose_volatile() drops only that cache; get() then falls back to the
-/// engine.
+/// Gets are served from the engine (index lookup + one CRC-checked
+/// pread). The RAM caching the paper keeps "as an underlying caching
+/// mechanism" lives on the client side (MetaCache), where it saves a
+/// round trip; a provider-side mirror of every node would only double
+/// the provider's memory per node.
 
 #pragma once
 
 #include <filesystem>
-#include <mutex>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -122,71 +122,40 @@ class LogMetaStore final : public LocalMetaStore {
     explicit LogMetaStore(engine::EngineConfig cfg) : engine_(std::move(cfg)) {}
 
     void put(const MetaKey& key, const MetaNode& node) override {
-        {
-            const std::scoped_lock lock(mu_);
-            if (cache_.contains(key)) {
-                return;  // immutable nodes: idempotent
-            }
-        }
-        // Atomic with the durable-existence check, so a post-crash
-        // re-put (or a concurrent duplicate) never appends twice.
+        // Atomic with the durable-existence check, so a re-put of an
+        // immutable node (post-crash replay, a concurrent duplicate)
+        // never appends twice.
         (void)engine_.put_if_absent(encode_key(key), serialize_node(node));
-        const std::scoped_lock lock(mu_);
-        cache_.emplace(key, node);
     }
 
     [[nodiscard]] MetaNode get(const MetaKey& key) override {
-        {
-            const std::scoped_lock lock(mu_);
-            const auto it = cache_.find(key);
-            if (it != cache_.end()) {
-                return it->second;
-            }
-        }
-        // RAM tier lost (crash) or first touch since reopen: the engine
-        // is the durable source.
         const auto raw = engine_.get(encode_key(key));
         if (!raw) {
             throw NotFoundError(key.to_string());
         }
-        MetaNode node = deserialize_node(*raw);
-        const std::scoped_lock lock(mu_);
-        cache_.emplace(key, node);
-        return node;
+        return deserialize_node(*raw);
     }
 
     [[nodiscard]] std::optional<MetaNode> try_get(
         const MetaKey& key) override {
-        try {
-            return get(key);
-        } catch (const NotFoundError&) {
+        const auto raw = engine_.get(encode_key(key));
+        if (!raw) {
             return std::nullopt;
         }
+        return deserialize_node(*raw);
     }
 
     void erase(const MetaKey& key) override {
-        {
-            const std::scoped_lock lock(mu_);
-            cache_.erase(key);
-        }
         engine_.remove(encode_key(key));
     }
 
-    /// RAM-tier population: count of cached nodes, which equals the
-    /// durable count except right after lose_volatile.
+    /// Durable node count.
     [[nodiscard]] std::size_t count() const override {
-        const std::scoped_lock lock(mu_);
-        return cache_.size();
+        return engine_.count();
     }
 
-    /// Durable node count regardless of cache population.
-    [[nodiscard]] std::size_t durable_count() { return engine_.count(); }
-
-    /// Crash: the RAM tier evaporates; the log survives.
-    void lose_volatile() override {
-        const std::scoped_lock lock(mu_);
-        cache_.clear();
-    }
+    /// Crash: nothing volatile to lose; the log is the store.
+    void lose_volatile() override {}
 
     [[nodiscard]] engine::LogEngine& engine() noexcept { return engine_; }
 
@@ -210,8 +179,6 @@ class LogMetaStore final : public LocalMetaStore {
     }
 
     engine::LogEngine engine_;
-    mutable std::mutex mu_;  // guards cache_
-    std::unordered_map<MetaKey, MetaNode, MetaKeyHash> cache_;
 };
 
 }  // namespace blobseer::meta

@@ -12,6 +12,7 @@
 
 #include <list>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -31,6 +32,15 @@ class MetaCache final : public MetaStore {
         backing_.put(key, node);
         if (capacity_ != 0) {
             insert(key, node);
+        }
+    }
+
+    void put_all(std::span<const KeyedNode> nodes) override {
+        backing_.put_all(nodes);
+        if (capacity_ != 0) {
+            for (const auto& [key, node] : nodes) {
+                insert(key, node);
+            }
         }
     }
 

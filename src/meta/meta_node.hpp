@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chunk/chunk_key.hpp"
@@ -146,6 +147,9 @@ struct MetaNode {
         return n;
     }
 };
+
+/// A node together with its DHT key: the unit of a batched store.
+using KeyedNode = std::pair<MetaKey, MetaNode>;
 
 /// Wire size of a key (for network charging).
 inline constexpr std::uint64_t kMetaKeyWireSize = 32;

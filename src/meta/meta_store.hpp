@@ -3,7 +3,7 @@
 ///        implementation used by unit tests and by single metadata
 ///        providers.
 ///
-/// The production implementation is dht::DhtMetaClient (replicated puts
+/// The production implementation is dht::MetaDht (replicated puts
 /// and gets over the metadata-provider DHT, with network costs); the tree
 /// algorithms in tree_builder/tree_reader are written against this
 /// interface so they can be property-tested exhaustively without a
@@ -13,6 +13,7 @@
 
 #include <mutex>
 #include <optional>
+#include <span>
 #include <unordered_map>
 
 #include "common/error.hpp"
@@ -28,6 +29,16 @@ class MetaStore {
     /// Store a node. Nodes are immutable: storing the same key twice is
     /// idempotent (always the identical content by construction).
     virtual void put(const MetaKey& key, const MetaNode& node) = 0;
+
+    /// Store a batch of nodes; on return every node is stored, exactly as
+    /// if each had been put() in turn. Stores that pay a round trip per
+    /// request override this to send the batch in as few requests as
+    /// they can.
+    virtual void put_all(std::span<const KeyedNode> nodes) {
+        for (const auto& [key, node] : nodes) {
+            put(key, node);
+        }
+    }
 
     /// Fetch a node. Throws NotFoundError if absent — on a healthy
     /// cluster that means the caller followed a reference into an

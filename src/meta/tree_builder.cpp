@@ -1,6 +1,8 @@
 #include "meta/tree_builder.hpp"
 
 #include <cassert>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -102,7 +104,10 @@ class Builder {
             // always creates it; anything else is a geometry bug.
             throw ConsistencyError("writer did not create its own root");
         }
-        return {MetaKey{in_.blob, in_.version, root}, nodes_created_,
+        // The new nodes are read by nobody until commit, so they travel
+        // as one batch: one meta-put per metadata provider.
+        store_.put_all(created_);
+        return {MetaKey{in_.blob, in_.version, root}, created_.size(),
                 store_reads_};
     }
 
@@ -147,8 +152,8 @@ class Builder {
         }
         const ChildRef left = recurse(r.left(), lc);
         const ChildRef right = recurse(r.right(), rc);
-        store_.put({in_.blob, in_.version, r}, MetaNode::inner(left, right));
-        ++nodes_created_;
+        created_.emplace_back(MetaKey{in_.blob, in_.version, r},
+                              MetaNode::inner(left, right));
         return {in_.blob, in_.version};
     }
 
@@ -166,8 +171,8 @@ class Builder {
             // slot 0, so the prefix chain bottoms out in an empty leaf.
             leaf = MetaNode::leaf({}, 0, 0);
         }
-        store_.put({in_.blob, in_.version, r}, leaf);
-        ++nodes_created_;
+        created_.emplace_back(MetaKey{in_.blob, in_.version, r},
+                              std::move(leaf));
     }
 
     MetaStore& store_;
@@ -175,7 +180,7 @@ class Builder {
     TreeGeometry geo_;
     SlotRange write_slots_;
     std::uint64_t slots_before_;
-    std::size_t nodes_created_ = 0;
+    std::vector<KeyedNode> created_;  // stored by run() in one batch
     std::size_t store_reads_ = 0;
 };
 

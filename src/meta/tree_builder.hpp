@@ -122,9 +122,10 @@ struct BuildResult {
     std::size_t store_reads = 0;
 };
 
-/// Build and store version `in.version`'s tree. Every node is put into
-/// \p store before the function returns, so the caller can commit to the
-/// version manager immediately afterwards.
+/// Build and store version `in.version`'s tree. The nodes are collected
+/// during the descent and stored with one MetaStore::put_all; every node
+/// is stored before the function returns, so the caller can commit to
+/// the version manager immediately afterwards.
 BuildResult build_version_tree(MetaStore& store, const BuildInput& in);
 
 }  // namespace blobseer::meta

@@ -188,9 +188,12 @@ version::ShardStatus serve(op::VmStatus, VersionManager& vm) {
     return vm.status();
 }
 
-void serve(op::MetaPut, MetadataProvider& mp, const MetaKey& key,
-           const MetaNode& node) {
-    mp.put(key, node);
+void serve(op::MetaPut, MetadataProvider& mp,
+           const std::vector<meta::KeyedNode>& nodes) {
+    // Node by node, so the service gate charges every node as before.
+    for (const auto& [key, node] : nodes) {
+        mp.put(key, node);
+    }
 }
 
 MetaNode serve(op::MetaGet, MetadataProvider& mp, const MetaKey& key) {

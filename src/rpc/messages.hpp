@@ -129,6 +129,7 @@ struct Wire<MetricKind>
 
 template <>
 struct Wire<meta::MetaNode> {
+    static constexpr std::size_t min_bytes = 15;  // uid leaf, no replicas
     static void put(WireWriter& w, const meta::MetaNode& n);
     static meta::MetaNode get(WireReader& r);  ///< validates kind + flags
 };

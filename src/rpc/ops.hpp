@@ -136,7 +136,7 @@ using VmStatus =
 
 // ---- metadata DHT member service -------------------------------------------
 using MetaPut = Op<kMetaPut, "meta-put", dht::MetadataProvider,
-                   void(meta::MetaKey, meta::MetaNode)>;
+                   void(std::vector<meta::KeyedNode> nodes)>;
 using MetaGet = Op<kMetaGet, "meta-get", dht::MetadataProvider,
                    meta::MetaNode(meta::MetaKey)>;
 using MetaTryGet = Op<kMetaTryGet, "meta-try-get", dht::MetadataProvider,

@@ -82,7 +82,10 @@ inline constexpr std::uint32_t kFrameMagic = 0x42535250;  // "PRSB" LE
 /// client operation can be followed across every nested RPC, and the
 /// control block gained kMetricsDump (full metrics-registry snapshot
 /// from any node) and kTraceDump (drain the node's span ring).
-inline constexpr std::uint8_t kWireVersion = 7;
+/// v8: kMetaPut carries a batch — a count-prefixed list of (key, node)
+/// pairs — so a writer stores its whole tree with one request per
+/// metadata provider.
+inline constexpr std::uint8_t kWireVersion = 8;
 inline constexpr std::size_t kFrameHeaderSize = 40;
 /// Byte offset of the MsgType tag (u16) within the header.
 inline constexpr std::size_t kFrameTypeOffset = 6;

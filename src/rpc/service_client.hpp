@@ -396,14 +396,13 @@ class ServiceClient {
 
     // ---- metadata providers ----------------------------------------------
 
-    void meta_put(NodeId mp, const meta::MetaKey& key,
-                  const meta::MetaNode& node) {
-        meta_put_async(mp, key, node).get();
+    /// Store a batch of nodes on one metadata provider.
+    void meta_put(NodeId mp, const std::vector<meta::KeyedNode>& nodes) {
+        meta_put_async(mp, nodes).get();
     }
-    [[nodiscard]] Future<void> meta_put_async(NodeId mp,
-                                              const meta::MetaKey& key,
-                                              const meta::MetaNode& node) {
-        return call_async<op::MetaPut>(mp, key, node);
+    [[nodiscard]] Future<void> meta_put_async(
+        NodeId mp, const std::vector<meta::KeyedNode>& nodes) {
+        return call_async<op::MetaPut>(mp, nodes);
     }
     [[nodiscard]] meta::MetaNode meta_get(NodeId mp, const meta::MetaKey& key) {
         return meta_get_async(mp, key).get();

@@ -56,24 +56,79 @@ std::string str_of(const Buffer& b) {
 
 // ---- basics -----------------------------------------------------------------
 
+using Crc32cUpdate = std::uint32_t (*)(std::uint32_t, ConstBytes);
+
+/// Every CRC32C update path this build can run on this CPU.
+std::vector<std::pair<std::string, Crc32cUpdate>> crc32c_paths() {
+    std::vector<std::pair<std::string, Crc32cUpdate>> paths{
+        {"portable", &crc32c_update_portable},
+        {"dispatched", &crc32c_update},
+    };
+#if defined(__x86_64__)
+    if (crc32c_hw_available()) {
+        paths.emplace_back("sse4.2", &crc32c_update_sse42);
+    }
+#endif
+    return paths;
+}
+
 TEST(Crc32c, MatchesKnownVector) {
-    // The iSCSI/RFC 3720 check value pins the polynomial and the
-    // slicing-by-8 table construction: crc32c("123456789") = 0xE3069283.
+    // RFC 3720 appendix B.4 plus the iSCSI check value
+    // crc32c("123456789") = 0xE3069283 pin the polynomial, the
+    // slicing-by-8 table construction and the hardware path alike.
+    std::vector<std::pair<Buffer, std::uint32_t>> vectors;
+    vectors.emplace_back(Buffer(32, 0x00), 0x8A9136AAu);
+    vectors.emplace_back(Buffer(32, 0xFF), 0x62A8AB43u);
+    Buffer up(32);
+    Buffer down(32);
+    for (std::size_t i = 0; i < 32; ++i) {
+        up[i] = static_cast<std::uint8_t>(i);
+        down[i] = static_cast<std::uint8_t>(31 - i);
+    }
+    vectors.emplace_back(up, 0x46DD794Eu);
+    vectors.emplace_back(down, 0x113FDB5Cu);
     const std::string msg = "123456789";
-    EXPECT_EQ(crc32c(ConstBytes(
-                  reinterpret_cast<const std::uint8_t*>(msg.data()),
-                  msg.size())),
-              0xE3069283u);
-    // Incremental form must agree regardless of the split point.
-    std::uint32_t state = crc32c_init();
-    state = crc32c_update(
-        state, ConstBytes(reinterpret_cast<const std::uint8_t*>(msg.data()),
-                          3));
-    state = crc32c_update(
-        state,
-        ConstBytes(reinterpret_cast<const std::uint8_t*>(msg.data()) + 3,
-                   6));
-    EXPECT_EQ(crc32c_final(state), 0xE3069283u);
+    const ConstBytes check(reinterpret_cast<const std::uint8_t*>(msg.data()),
+                           msg.size());
+    vectors.emplace_back(Buffer(check.begin(), check.end()), 0xE3069283u);
+    for (const auto& [name, update] : crc32c_paths()) {
+        for (const auto& [data, crc] : vectors) {
+            EXPECT_EQ(crc32c_final(update(crc32c_init(), data)), crc)
+                << name << " over " << data.size() << " bytes";
+        }
+        // Incremental form must agree regardless of the split point.
+        EXPECT_EQ(crc32c_final(update(update(crc32c_init(), check.first(3)),
+                                      check.subspan(3))),
+                  0xE3069283u)
+            << name;
+    }
+    EXPECT_EQ(crc32c(check), 0xE3069283u);
+}
+
+TEST(Crc32c, PathsAgreeAtEveryLengthAlignmentAndSplit) {
+    std::mt19937_64 rng(0xc5c32);
+    Buffer pool(4096 + 8);
+    for (auto& b : pool) {
+        b = static_cast<std::uint8_t>(rng());
+    }
+    const auto paths = crc32c_paths();
+    for (std::size_t align = 0; align < 8; ++align) {
+        for (std::size_t len = 0; len <= 4096;
+             len += len < 64 ? 1 : 1 + rng() % 61) {
+            const ConstBytes data(pool.data() + align, len);
+            const std::uint32_t want =
+                crc32c_update_portable(crc32c_init(), data);
+            const std::size_t cut = len == 0 ? 0 : rng() % (len + 1);
+            for (const auto& [name, update] : paths) {
+                EXPECT_EQ(update(crc32c_init(), data), want)
+                    << name << " len " << len << " align " << align;
+                EXPECT_EQ(update(update(crc32c_init(), data.first(cut)),
+                                 data.subspan(cut)),
+                          want)
+                    << name << " len " << len << " split at " << cut;
+            }
+        }
+    }
 }
 
 TEST(LogEngine, PutGetRoundTrip) {

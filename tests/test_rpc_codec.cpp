@@ -163,6 +163,45 @@ TEST(Codec, MetaNodeRandomRoundTrip) {
     }
 }
 
+TEST(Codec, MetaNodeMinBytesIsTheShortestEncoding) {
+    // min_bytes bounds the count prefix of a meta-put batch: it must be
+    // the size of the shortest node, an empty-replica uid leaf.
+    WireWriter hole;
+    put_meta_node(hole, meta::MetaNode::leaf({}, 0, 0));
+    EXPECT_EQ(hole.size(), Wire<meta::MetaNode>::min_bytes);
+    WireWriter cas;
+    put_meta_node(cas, meta::MetaNode::cas_leaf({}, 1, 2, 3));
+    EXPECT_GT(cas.size(), Wire<meta::MetaNode>::min_bytes);
+    Rng rng(17);
+    for (int i = 0; i < 500; ++i) {
+        WireWriter w;
+        put_meta_node(w, random_node(rng));
+        EXPECT_GE(w.size(), Wire<meta::MetaNode>::min_bytes);
+    }
+    static_assert(wire_min<meta::KeyedNode>() ==
+                  meta::kMetaKeyWireSize + Wire<meta::MetaNode>::min_bytes);
+}
+
+TEST(Codec, MetaNodeBatchRoundTrip) {
+    Rng rng(19);
+    std::vector<meta::KeyedNode> batch;
+    for (std::uint64_t i = 0; i < 40; ++i) {
+        batch.emplace_back(meta::MetaKey{rng(), rng(), {i, 1}},
+                           random_node(rng));
+    }
+    WireWriter w;
+    encode(w, batch);
+    const Buffer buf = w.take();
+    WireReader r{ConstBytes(buf)};
+    const auto back = decode<std::vector<meta::KeyedNode>>(r);
+    r.expect_end();
+    ASSERT_EQ(back.size(), batch.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        EXPECT_EQ(back[i].first, batch[i].first);
+        EXPECT_TRUE(equal(back[i].second, batch[i].second));
+    }
+}
+
 TEST(Codec, AssignResultRandomRoundTrip) {
     Rng rng(13);
     for (int i = 0; i < 300; ++i) {
@@ -442,7 +481,7 @@ TEST(Frame, PayloadLengthMismatchThrows) {
 TEST(FrameV7, GoldenHeaderLayout) {
     // Byte-exact pin of the 40-byte v7 header. If this test breaks, the
     // wire ABI changed: bump kWireVersion and update DESIGN.md §7.
-    static_assert(kWireVersion == 7);
+    static_assert(kWireVersion == 8);
     static_assert(kFrameHeaderSize == 40);
     static_assert(kFrameCorrOffset == 16);
     static_assert(kFrameTraceOffset == 24);
@@ -461,7 +500,7 @@ TEST(FrameV7, GoldenHeaderLayout) {
     ASSERT_EQ(frame.size(), kFrameHeaderSize + 8);
     const std::uint8_t expected_header[kFrameHeaderSize] = {
         0x50, 0x52, 0x53, 0x42,  //  0: magic "PRSB" little-endian
-        0x07,                    //  4: wire version
+        0x08,                    //  4: wire version
         0x00,                    //  5: kind = request
         0x15, 0x00,              //  6: MsgType::kGetVersion tag (21)
         0x0d, 0x0c, 0x0b, 0x0a,  //  8: destination node id

@@ -64,6 +64,12 @@ T sample() {
         return T{sample<typename T::value_type>()};
     } else if constexpr (std::is_same_v<T, meta::MetaNode>) {
         return meta::MetaNode::leaf({2, 3}, 7, 40);
+    } else if constexpr (detail::kIsTuple<T>) {
+        return std::apply(
+            [](const auto&... f) {
+                return T{sample<std::remove_cvref_t<decltype(f)>>()...};
+            },
+            T{});
     } else {
         T v{};
         std::apply(
@@ -250,6 +256,29 @@ TEST_F(HostileTest, SampledRequestsDecode) {
             ...);
     }(OpTable{});
     EXPECT_EQ(decoded, 39u);
+}
+
+TEST_F(HostileTest, OverlongMetaPutCountIsRejectedBeforeReserving) {
+    // A meta-put batch holding one node but claiming more. The count is
+    // checked against the bytes present (each node takes at least
+    // wire_min<KeyedNode>() bytes) before the decoder reserves anything,
+    // so even a 2^62 count fails fast instead of allocating.
+    WireWriter one;
+    encode(one, sample<meta::KeyedNode>());
+    for (const std::uint64_t count :
+         {std::uint64_t{2}, std::uint64_t{1} << 62}) {
+        WireWriter w;
+        w.varint(count);
+        w.raw(one.buffer());
+        const Buffer resp = cluster_->dispatcher().dispatch(frame_of(
+            MsgType::kMetaPut, topo_.meta_nodes.at(0), w.buffer()));
+        const FrameView f = parse_frame(resp);
+        ASSERT_NE(f.status(), Status::kOk) << count;
+        EXPECT_NE(WireReader(f.payload).str().find("exceeds payload capacity"),
+                  std::string::npos)
+            << count;
+    }
+    EXPECT_EQ(cluster_->metadata_provider(0).stored_nodes(), 0u);
 }
 
 int connect_loopback(std::uint16_t port) {

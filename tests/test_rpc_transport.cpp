@@ -117,7 +117,7 @@ TEST_P(TransportConformance, MetaRoundTrip) {
     const meta::MetaNode node = meta::MetaNode::leaf({1, 2}, 99, 512);
 
     EXPECT_FALSE(svc_->meta_try_get(mp, key).has_value());
-    svc_->meta_put(mp, key, node);
+    svc_->meta_put(mp, {{key, node}});
     const auto got = svc_->meta_get(mp, key);
     EXPECT_TRUE(got.is_leaf());
     EXPECT_EQ(got.chunk_uid, 99u);
@@ -215,7 +215,7 @@ TEST_P(TransportConformance, AsyncRoundTripsMatchSync) {
                              2000));
 
     const meta::MetaKey mkey{11, 1, {0, 8}};
-    svc_->meta_put_async(mp, mkey, meta::MetaNode::leaf({dp}, 7, 128))
+    svc_->meta_put_async(mp, {{mkey, meta::MetaNode::leaf({dp}, 7, 128)}})
         .get();
     const auto node = svc_->meta_get_async(mp, mkey).get();
     EXPECT_EQ(node.chunk_uid, 7u);

@@ -113,7 +113,7 @@ const Pin kPins[] = {
     {MsgType::kDescriptorOf, 27, "descriptor-of", "01000000000000000100000000000000", "01000000000000000000000000000000001000000000000000000000000000000010000000000000"},
     {MsgType::kBlobCloneFrom, 28, "blob-clone-from", "000001000000000001000000010000000000000001000000000000000010000000000000", "0300000000000000000001000000000001000000"},
     {MsgType::kVmStatus, 29, "vm-status", "", "000000000300000000000000020000000000000001000000000000000000000000000000010000000000000001000000000000000200000000000000"},
-    {MsgType::kMetaPut, 48, "meta-put", "01000000000000000100000000000000000000000000000001000000000000000100020200000009000000070000000000000028000000", ""},
+    {MsgType::kMetaPut, 48, "meta-put", "0101000000000000000100000000000000000000000000000001000000000000000100020200000009000000070000000000000028000000", ""},
     {MsgType::kMetaGet, 49, "meta-get", "0100000000000000010000000000000000000000000000000100000000000000", "0100020200000009000000070000000000000028000000"},
     {MsgType::kMetaTryGet, 50, "meta-try-get", "0100000000000000010000000000000000000000000000000100000000000000", "010100020200000009000000070000000000000028000000"},
     {MsgType::kMetaErase, 51, "meta-erase", "0100000000000000010000000000000000000000000000000100000000000000", ""},
@@ -179,7 +179,7 @@ std::map<MsgType, Exchange> run_script() {
 
     // Metadata provider.
     const meta::MetaKey leaf_key{blob.id, a.version, {0, 1}};
-    svc.meta_put(mp, leaf_key, meta::MetaNode::leaf({dp, 9}, 7, 40));
+    svc.meta_put(mp, {{leaf_key, meta::MetaNode::leaf({dp, 9}, 7, 40)}});
     (void)svc.meta_get(mp, leaf_key);
     (void)svc.meta_try_get(mp, leaf_key);
     svc.meta_erase(mp, leaf_key);
